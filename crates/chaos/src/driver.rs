@@ -180,13 +180,13 @@ pub fn run_chaos(
         });
         // Wall-release monitor.
         scope.spawn(|| {
-            // ordering: Relaxed — monitor peek at a release counter; a stale read only widens the observed gap.
-            let mut last = walls.load(Ordering::Relaxed);
+            // A stale sum of the release counter only widens the observed gap.
+            let mut last = walls.get();
             let mut last_change = Instant::now();
             let mut max_gap = Duration::ZERO;
             // ordering: Relaxed — advisory stop flag; one extra iteration after the store is harmless.
             while !done.load(Ordering::Relaxed) {
-                let cur = walls.load(Ordering::Relaxed); // ordering: monitor peek; staleness only widens the gap
+                let cur = walls.get();
                 if cur != last {
                     max_gap = max_gap.max(last_change.elapsed());
                     last_change = Instant::now();

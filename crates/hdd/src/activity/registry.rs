@@ -465,6 +465,15 @@ impl ActivityRegistry {
         self.classes[class.index()].lock().has_running()
     }
 
+    /// True while a transaction of `class` that started before `m` is
+    /// still running (the time-wall release check).
+    pub fn class_running_before(&self, class: ClassId, m: Timestamp) -> bool {
+        self.classes[class.index()]
+            .lock()
+            .oldest_running()
+            .is_some_and(|start| start < m)
+    }
+
     /// Export one class's intervals.
     pub fn export_class(&self, class: ClassId) -> Vec<(Timestamp, Option<Timestamp>, bool)> {
         self.classes[class.index()].lock().export()

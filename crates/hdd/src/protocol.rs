@@ -26,10 +26,9 @@
 use crate::activity::{ActivityFuncs, ActivityRegistry};
 use crate::analysis::Hierarchy;
 use crate::timewall::{TimeWall, TimeWallService};
-use mvstore::{MvtoReadResult, MvtoWriteResult, StorageBackend};
+use mvstore::{IntMap, MvtoReadResult, MvtoWriteResult, StorageBackend};
 use obs::{RejectReason, SpanEvent, Terminal, TraceEvent, WaitCause, NO_CLASS};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,22 +90,21 @@ const TXN_SHARDS: usize = 16;
 /// Live-transaction state, sharded by transaction id so concurrent
 /// workers touching different transactions never contend (ids are
 /// allocated sequentially, so `id & mask` spreads neighbors across
-/// shards). Mirrors how `MvStore` shards its chain map.
+/// shards). Mirrors how `MvStore` shards its chain map, and hashes
+/// with the same integer hasher.
 #[derive(Debug)]
 struct TxnTable {
-    shards: Vec<Mutex<HashMap<TxnId, TxnState>>>,
+    shards: Vec<Mutex<IntMap<TxnId, TxnState>>>,
 }
 
 impl TxnTable {
     fn new() -> Self {
         TxnTable {
-            shards: (0..TXN_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            shards: (0..TXN_SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 
-    fn shard(&self, id: TxnId) -> &Mutex<HashMap<TxnId, TxnState>> {
+    fn shard(&self, id: TxnId) -> &Mutex<IntMap<TxnId, TxnState>> {
         &self.shards[(id.0 as usize) & (TXN_SHARDS - 1)]
     }
 
@@ -1514,6 +1512,61 @@ mod tests {
         assert_eq!(m.read_registrations, 0);
         assert_eq!(m.cross_class_reads, 2);
         assert_eq!(m.wall_reads, 0);
+    }
+
+    /// A wall component reached by a downward step (or the anchor's own
+    /// component) can lie above the start of a transaction of that class
+    /// that is still running. Releasing the wall then lets a reader read
+    /// past writes that transaction has yet to make — while it reads
+    /// versions the transaction already depends on: a cycle. The wall
+    /// must wait for such transactions to finish.
+    #[test]
+    fn wall_waits_for_running_transactions_below_its_components() {
+        // 1 → 0 ← 2: the anchor is class 1, class 2 is reached downward.
+        let h = Hierarchy::build(
+            3,
+            &[
+                AccessSpec::new("c0", vec![s(0)], vec![]),
+                AccessSpec::new("c1", vec![s(1)], vec![s(0)]),
+                AccessSpec::new("c2", vec![s(2)], vec![s(0)]),
+            ],
+        )
+        .unwrap();
+        let hierarchy = Arc::new(h);
+        let store = Arc::new(MvStore::new());
+        for seg in 0..3 {
+            store.seed(g(seg, 1), Value::Int(0));
+        }
+        let sched = HddScheduler::new(
+            Arc::clone(&hierarchy),
+            store,
+            Arc::new(LogicalClock::new()),
+            HddConfig::default(),
+        );
+        let value = |r: ReadOutcome| match r {
+            ReadOutcome::Value(v) => (*v).clone(),
+            other => panic!("expected a value, got {other:?}"),
+        };
+        // t2 (class 2) reads D0 before q (class 0) overwrites it: t2 → q.
+        let t2 = sched.begin(&TxnProfile::update(ClassId(2), vec![s(0)]));
+        assert_eq!(value(sched.read(&t2, g(0, 1))), Value::Int(0));
+        let q = sched.begin(&TxnProfile::update(ClassId(0), vec![]));
+        assert_eq!(sched.write(&q, g(0, 1), Value::Int(1)), WriteOutcome::Done);
+        assert!(matches!(sched.commit(&q), CommitOutcome::Committed(_)));
+        // A wall now would show q in D0 but not t2's coming D2 write.
+        assert!(
+            !sched.try_release_wall(),
+            "t2 started below the D2 component"
+        );
+        let ro = sched.begin(&TxnProfile::read_only(vec![s(0), s(1), s(2)]));
+        assert_eq!(sched.read(&ro, g(2, 1)), ReadOutcome::Block);
+        assert_eq!(sched.write(&t2, g(2, 1), Value::Int(2)), WriteOutcome::Done);
+        assert!(matches!(sched.commit(&t2), CommitOutcome::Committed(_)));
+        assert!(sched.try_release_wall());
+        assert_eq!(value(sched.read(&ro, g(0, 1))), Value::Int(1));
+        assert_eq!(value(sched.read(&ro, g(2, 1))), Value::Int(2));
+        assert!(matches!(sched.commit(&ro), CommitOutcome::Committed(_)));
+        assert!(DependencyGraph::from_log(sched.log()).is_serializable());
     }
 
     #[test]

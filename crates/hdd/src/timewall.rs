@@ -14,7 +14,9 @@
 //! computation first starts; if some `C_late` is not yet computable the
 //! service retries the *same* pending wall until enough transactions
 //! finish ("if it encounters any C_late function that it cannot compute,
-//! it waits until it becomes computable").
+//! it waits until it becomes computable"). It likewise waits while any
+//! transaction that started below its own class's component is still
+//! running (see [`TimeWallService::try_release`]).
 
 use crate::activity::{ActivityFuncs, CLate};
 use crate::analysis::Hierarchy;
@@ -76,8 +78,9 @@ impl TimeWallService {
 
     /// Attempt to compute and release a wall anchored at (pending `m`, or
     /// `now` when starting fresh). Returns the released wall on success;
-    /// `None` when some `C_late` is not yet computable (the pending
-    /// anchor time is kept for the retry).
+    /// `None` when some `C_late` is not yet computable, or some class
+    /// still runs a transaction that started below the class's wall
+    /// component (the pending anchor time is kept for the retry).
     pub fn try_release(
         &self,
         hierarchy: &Hierarchy,
@@ -113,6 +116,24 @@ impl TimeWallService {
                     CLate::NotComputable => return None,
                 }
             }
+        }
+
+        // A reader takes D_i's latest version below E^i, so every
+        // class-i transaction that started below E^i must have finished
+        // first: one still running could write under the wall after a
+        // reader read past it, while the reader sees versions that
+        // transaction precedes. Upward components (`I_old`) satisfy this
+        // by construction; the anchor's own component (`m`) and
+        // downward ones (`C_late` of the class above) do not, so the
+        // release waits for those transactions as for an uncomputable
+        // `C_late`.
+        let registry = funcs.registry();
+        if components
+            .iter()
+            .enumerate()
+            .any(|(i, &e)| registry.class_running_before(ClassId(i as u32), e))
+        {
+            return None;
         }
 
         let wall = Arc::new(TimeWall {
@@ -249,6 +270,34 @@ mod tests {
             .try_release(&h, &f, ts(30), || clock.tick())
             .expect("computable now");
         assert_eq!(wall.anchor_time, ts(10));
+    }
+
+    #[test]
+    fn release_waits_for_running_transactions_below_a_component() {
+        let h = tree();
+        let r = ActivityRegistry::new(5);
+        let f = ActivityFuncs::new(&h, &r);
+        let clock = LogicalClock::new();
+        clock.advance_past(ts(10));
+        // Running in the anchor class (3) and in class 2, reached
+        // downward from 0: neither component constrains them.
+        r.begin(ClassId(3), ts(5));
+        r.begin(ClassId(2), ts(6));
+        let svc = TimeWallService::new();
+        assert!(svc.try_release(&h, &f, ts(10), || clock.tick()).is_none());
+        r.commit(ClassId(3), ts(5), ts(11));
+        assert!(svc.try_release(&h, &f, ts(12), || clock.tick()).is_none());
+        r.commit(ClassId(2), ts(6), ts(13));
+        clock.advance_past(ts(13));
+        let wall = svc
+            .try_release(&h, &f, ts(14), || clock.tick())
+            .expect("nothing runs below the wall now");
+        assert_eq!(wall.anchor_time, ts(10), "the pending anchor is kept");
+        // A transaction that started after the anchor never blocks it.
+        r.begin(ClassId(3), ts(20));
+        r.begin(ClassId(2), ts(21));
+        clock.advance_past(ts(21));
+        assert!(svc.try_release(&h, &f, ts(15), || clock.tick()).is_some());
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //! * **Scan** — [`StorageBackend::scan_chains`] visits every chain
 //!   (quiescent moments only; it may hold shard locks).
 //! * **Truncate** — [`StorageBackend::prune_before`] is the GC
-//!   watermark sweep; persistent backends may treat it as advisory (a
-//!   pruned version replayed after a crash is harmless: MVCC reads
-//!   still select the correct snapshot and GC re-prunes).
+//!   watermark sweep. It visits only the chains that hold more than one
+//!   version, so it costs O(such chains), not O(database). Persistent
+//!   backends may treat it as advisory (a pruned version replayed after
+//!   a crash is harmless: MVCC reads still select the correct snapshot
+//!   and GC re-prunes).
 //!
 //! The generic conveniences (`with_chain`, `latest_value`,
 //! `value_as_of`) live on `dyn StorageBackend` itself so call sites read
@@ -89,8 +91,9 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     fn scan_chains(&self, f: &mut dyn FnMut(GranuleId, &VersionChain));
 
     /// Garbage-collect versions older than the watermark (keeping the
-    /// snapshot version below it, per chain). Returns versions
-    /// reclaimed from the in-memory image.
+    /// snapshot version below it, per chain). Only chains holding more
+    /// than one version can lose one, and only those are visited.
+    /// Returns versions reclaimed from the in-memory image.
     fn prune_before(&self, wm: Timestamp) -> usize;
 
     /// Total number of versions held across all granules.

@@ -89,16 +89,34 @@ impl VersionChain {
 
     /// A chain seeded with one committed initial version at
     /// [`Timestamp::ZERO`] written by the virtual initial transaction.
+    ///
+    /// Most chains of a populated store never hold a second version for
+    /// long, so the chain allocates room for exactly this one (a
+    /// default-grown `Vec` reserves four slots per granule).
     pub fn seeded(value: Value) -> Self {
-        let mut c = Self::new();
-        c.versions.push(Version {
+        Self::with_seed(Arc::new(value), 1)
+    }
+
+    /// The chain a never-seeded granule gets on first touch: the shared
+    /// `Absent` payload, with room for the write that nearly always
+    /// follows (a first touch is an insert).
+    pub(crate) fn first_touch() -> Self {
+        Self::with_seed(absent(), 2)
+    }
+
+    fn with_seed(value: Arc<Value>, room: usize) -> Self {
+        let mut versions = Vec::with_capacity(room);
+        versions.push(Version {
             ts: Timestamp::ZERO,
-            value: Arc::new(value),
+            value,
             writer: TxnId(0),
             committed: true,
             rts: Timestamp::ZERO,
         });
-        c
+        VersionChain {
+            versions,
+            max_rts: Timestamp::ZERO,
+        }
     }
 
     /// All versions (ascending by ts). Exposed for checkers and tests.

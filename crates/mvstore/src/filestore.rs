@@ -651,6 +651,75 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Reopen replays `Truncate` records through the sweep-list GC: the
+    /// rebuilt index must equal a full-sweep replay of the same segment
+    /// records, with exact sweep lists.
+    #[test]
+    fn reopen_replays_truncates_like_a_full_sweep() {
+        use crate::store::reference::{assert_sweep_lists_exact, image, FullSweepStore, SplitMix};
+        let dir = temp_dir("gc-equiv");
+        let cfg = FileBackendConfig {
+            segment_bytes: 4096,
+            ..FileBackendConfig::default()
+        };
+        let mut rng = SplitMix(11);
+        {
+            let store = FileBackend::open(&dir, cfg.clone()).unwrap();
+            for key in 0..8 {
+                StorageBackend::seed(&store, g(0, key), Value::Int(0));
+            }
+            for ts in 1..=600u64 {
+                let gr = g(rng.below(2) as u32, rng.below(8));
+                match rng.below(10) {
+                    0 => StorageBackend::seed(&store, gr, Value::Int(ts as i64)),
+                    1 => {
+                        store.index.with_chain(gr, |c| {
+                            c.mvto_write(Timestamp(ts), Arc::new(Value::Int(1)), TxnId(ts));
+                        });
+                        StorageBackend::abort_writes(&store, TxnId(ts), &[gr]);
+                    }
+                    2 => StorageBackend::put_versions(
+                        &store,
+                        &[VersionRecord {
+                            granule: gr,
+                            ts: Timestamp(ts),
+                            value: Arc::new(Value::Int(-(ts as i64))),
+                            writer: TxnId(ts),
+                        }],
+                    ),
+                    3 | 4 => {
+                        let wm = Timestamp(ts.saturating_sub(rng.below(40)));
+                        StorageBackend::prune_before(&store, wm);
+                    }
+                    _ => commit_one(&store, gr.key, ts, ts as i64, ts),
+                }
+            }
+            assert!(store.current_segment() >= 2, "the log must span segments");
+            store.sync().unwrap();
+        }
+        let reopened = FileBackend::open(&dir, cfg).unwrap();
+        let mut reference = FullSweepStore::default();
+        for seg_no in 0..=reopened.current_segment() {
+            let buf = std::fs::read(seg_path(&dir, seg_no)).unwrap();
+            let mut pos = SEG_HEADER_LEN;
+            while let Some((payload, next)) = raw_frame(&buf, pos) {
+                match decode_record(payload).unwrap() {
+                    SegRecord::Version(r) => reference.put_versions(&[r]),
+                    SegRecord::Truncate(wm) => {
+                        reference.prune_before(wm);
+                    }
+                }
+                pos = next;
+            }
+        }
+        assert_eq!(image(&reopened.index), reference.image());
+        assert_sweep_lists_exact(&reopened.index);
+        let wm = Timestamp(601);
+        assert_eq!(reopened.index.prune_before(wm), reference.prune_before(wm));
+        assert_eq!(image(&reopened.index), reference.image());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn put_versions_is_durable_without_explicit_sync() {
         let dir = temp_dir("putv");

@@ -13,7 +13,8 @@
 //!   scheduler talks to (get / put-version / scan / truncate), with two
 //!   implementations:
 //!   [`store::MvStore`] — a sharded concurrent in-memory map of granules
-//!   to chains, with seeding and time-wall-driven garbage collection —
+//!   to chains, with seeding and time-wall-driven garbage collection
+//!   that sweeps only the chains holding old versions —
 //!   and [`filestore::FileBackend`] — a zero-dependency log-structured
 //!   durable tier (append-only checksummed segment files over an
 //!   in-memory index, with crash-safe rotation);
@@ -21,13 +22,16 @@
 //!   into any backend;
 //! * [`locktable::LockTable`] — shared/exclusive locks with FIFO waiters,
 //!   upgrades, and waits-for deadlock detection (substrate for the 2PL
-//!   family of baselines).
+//!   family of baselines);
+//! * [`hash::IntHasher`] — the multiply-xor hasher of the integer-keyed
+//!   hot maps (the store's shards, the HDD transaction table).
 
 #![warn(missing_docs)]
 
 pub mod backend;
 pub mod chain;
 pub mod filestore;
+pub mod hash;
 pub mod locktable;
 pub mod recovery;
 pub mod store;
@@ -35,6 +39,7 @@ pub mod store;
 pub use backend::{StorageBackend, VersionRecord};
 pub use chain::{MvtoReadResult, MvtoWriteResult, Version, VersionChain};
 pub use filestore::{FileBackend, FileBackendConfig, OpenError};
+pub use hash::{IntBuildHasher, IntHasher, IntMap};
 pub use locktable::{LockMode, LockRequestResult, LockTable};
 pub use recovery::{recover, RecoveryAnomalies, RecoveryReport, SkipKind, SkippedFrame};
 pub use store::MvStore;

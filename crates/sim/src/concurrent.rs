@@ -10,7 +10,7 @@
 
 use crate::driver::RunStats;
 use obs::{SpanEvent, SpanKind, Terminal, NO_CLASS};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txn_model::program::ReadCtx;
@@ -187,41 +187,27 @@ pub fn run_concurrent(
     let flight_on = obs_on && mobs.flight.active();
     let programs = &programs[..];
     let cursor = AtomicUsize::new(0);
-    let committed = AtomicUsize::new(0);
     let restarts = AtomicUsize::new(0);
     let gave_up = AtomicUsize::new(0);
     let deadline_exceeded = AtomicUsize::new(0);
     let wal_lost = AtomicUsize::new(0);
-    let attempts = AtomicU64::new(0);
     let done = AtomicBool::new(false);
     let active_workers = AtomicUsize::new(cfg.workers);
     // Reference bindings so the worker closures can be `move` (they
     // need their worker index by value) while sharing the counters.
-    let (
-        cursor,
-        committed,
-        restarts,
-        gave_up,
-        deadline_exceeded,
-        wal_lost,
-        attempts,
-        done,
-        active_workers,
-    ) = (
+    let (cursor, restarts, gave_up, deadline_exceeded, wal_lost, done, active_workers) = (
         &cursor,
-        &committed,
         &restarts,
         &gave_up,
         &deadline_exceeded,
         &wal_lost,
-        &attempts,
         &done,
         &active_workers,
     );
     let wal = cfg.wal.as_deref();
 
     let start = Instant::now();
-    std::thread::scope(|scope| {
+    let (steps, committed) = std::thread::scope(|scope| {
         // Maintenance ticker: runs until every worker has exited, so a
         // worker blocked on maintenance-driven state (time-wall release,
         // lock queues) always makes progress eventually.
@@ -232,12 +218,18 @@ pub fn run_concurrent(
                 std::thread::sleep(cfg.maintenance_interval);
             }
         });
+        let mut workers = Vec::with_capacity(cfg.workers);
         for wi in 0..cfg.workers {
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 let _guard = WorkerGuard {
                     active: active_workers,
                     done,
                 };
+                // Operation attempts and commits stay worker-local (no
+                // shared cache line written per operation) and are
+                // summed when the workers join.
+                let mut steps = 0u64;
+                let mut committed = 0usize;
                 // Close a sampled flight (each begin is its own flight;
                 // restarts begin fresh transactions, hence fresh
                 // flights).
@@ -308,8 +300,7 @@ pub fn run_concurrent(
                         let mut streak_start_ns: Option<u64> = None;
                         let mut streak_slept_ns = 0u64;
                         while pc < program.steps.len() {
-                            // ordering: Relaxed — statistical counter; totals are read after the worker scope joins (the join edge orders them).
-                            attempts.fetch_add(1, Ordering::Relaxed);
+                            steps += 1;
                             let span_start = traced.then(|| mobs.flight.now_ns());
                             let outcome_block = match &program.steps[pc] {
                                 Step::Read(g) => match timed(time_ops, &mobs.op_service, || {
@@ -456,8 +447,7 @@ pub fn run_concurrent(
                         let mut commit_streak_start_ns: Option<u64> = None;
                         let mut commit_streak_slept_ns = 0u64;
                         loop {
-                            // ordering: Relaxed — statistical counter; totals are read after the worker scope joins (the join edge orders them).
-                            attempts.fetch_add(1, Ordering::Relaxed);
+                            steps += 1;
                             let span_start = traced.then(|| mobs.flight.now_ns());
                             match timed(time_ops, &mobs.op_service, || scheduler.commit(&handle)) {
                                 CommitOutcome::Committed(commit_ts) => {
@@ -488,7 +478,7 @@ pub fn run_concurrent(
                                             }
                                         }
                                     }
-                                    committed.fetch_add(1, Ordering::Relaxed); // ordering: stat counter; the scope join orders the final read
+                                    committed += 1;
                                     if let Some(t) = commit_block_since.take() {
                                         let dur_ns = t.elapsed().as_nanos() as u64;
                                         mobs.block_wait.record(dur_ns);
@@ -560,22 +550,25 @@ pub fn run_concurrent(
                         }
                     }
                 }
-            });
+                (steps, committed)
+            }));
         }
+        workers.into_iter().fold((0, 0), |(steps, committed), w| {
+            let (s, c) = w.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            (steps + s, committed + c)
+        })
     });
     // ordering: Relaxed — advisory stop flag; the scope join below/above is the real synchronization.
     done.store(true, Ordering::Relaxed);
     let elapsed = start.elapsed();
 
-    // ordering: Relaxed — read after the worker scope joined; the join edge orders every counter write before it.
-    let committed = committed.load(Ordering::Relaxed);
     let mut stats = RunStats {
         committed,
         restarts: restarts.load(Ordering::Relaxed), // ordering: read after the worker scope joined
         gave_up: gave_up.load(Ordering::Relaxed),   // ordering: read after the worker scope joined
         deadline_exceeded: deadline_exceeded.load(Ordering::Relaxed), // ordering: read after the worker scope joined
         stalled: 0,
-        steps: attempts.load(Ordering::Relaxed), // ordering: read after the worker scope joined
+        steps,
         metrics: scheduler.metrics().snapshot(),
         serializable: None,
         cycle: None,
@@ -600,6 +593,7 @@ mod tests {
     use crate::factory::{build_scheduler, SchedulerKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::AtomicU64;
     use workloads::banking::Banking;
     use workloads::inventory::{Inventory, InventoryConfig};
     use workloads::Workload;

@@ -38,7 +38,7 @@ pub use group_commit::{
     WalFault,
 };
 pub use ids::{ClassId, GranuleId, SegmentId, Timestamp, TxnId};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::{Counter, Metrics, MetricsSnapshot};
 pub use program::{Step, TxnProgram, WriteSource};
 pub use schedule::{ScheduleEvent, ScheduleLog};
 pub use scheduler::{CommitOutcome, ReadOutcome, Scheduler, TxnHandle, TxnProfile, WriteOutcome};

@@ -13,12 +13,79 @@
 
 use mc::sync::{AtomicU64, Ordering};
 
+/// Stripes per [`Counter`] (a power of two). Under `--cfg mc` a counter
+/// is a single atomic, so the model checker sees exactly one object per
+/// counter and every execution touches the same one.
+#[cfg(not(mc))]
+const STRIPES: usize = 16;
+#[cfg(mc)]
+const STRIPES: usize = 1;
+
+/// This thread's stripe: threads take stripes round-robin on their
+/// first bump, so up to [`STRIPES`] concurrent threads never share one.
+#[inline]
+fn stripe() -> usize {
+    if STRIPES == 1 {
+        return 0;
+    }
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    thread_local! {
+        // ordering: Relaxed — stripe ticket; any value is a valid stripe,
+        // uniqueness only spreads the load.
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) & (STRIPES - 1);
+    }
+    STRIPE.with(|s| *s)
+}
+
+/// One cache line: stripes of one counter never share a line, so two
+/// threads bumping the same counter never transfer it between cores.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Stripe(AtomicU64);
+
+/// A statistical counter split into per-thread stripes. A bump is one
+/// uncontended RMW on the calling thread's stripe; [`Counter::get`]
+/// sums the stripes.
+#[derive(Debug, Default)]
+pub struct Counter {
+    stripes: [Stripe; STRIPES],
+}
+
+impl Counter {
+    /// Add `n` to this thread's stripe.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        // ordering: Relaxed — statistical counter; no memory is published
+        // through it, totals are read at quiescence or advisorily.
+        self.stripes[stripe()].0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The total over every stripe.
+    pub fn get(&self) -> u64 {
+        self.stripes
+            .iter()
+            // ordering: Relaxed — advisory sum; a bump racing the read
+            // lands on either side of it, both acceptable.
+            .map(|s| s.0.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Zero every stripe.
+    pub fn reset(&self) {
+        for s in &self.stripes {
+            // ordering: Relaxed — counter reset between phases; racing
+            // bumps land on either side, both acceptable.
+            s.0.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
 macro_rules! counters {
     ($($(#[doc = $doc:literal])* $name:ident),+ $(,)?) => {
         /// Live, thread-safe counters owned by a scheduler.
         #[derive(Debug, Default)]
         pub struct Metrics {
-            $($(#[doc = $doc])* pub $name: AtomicU64,)+
+            $($(#[doc = $doc])* pub $name: Counter,)+
             /// Observability sidecar: latency histograms and the protocol
             /// decision trace ring, all behind one atomic enable flag
             /// (default off). Not part of [`MetricsSnapshot`] — use
@@ -36,17 +103,13 @@ macro_rules! counters {
             /// Copy all counters.
             pub fn snapshot(&self) -> MetricsSnapshot {
                 MetricsSnapshot {
-                    // ordering: Relaxed — statistical counters; snapshots
-                    // are advisory and tolerate skew between cells.
-                    $($name: self.$name.load(Ordering::Relaxed),)+
+                    $($name: self.$name.get(),)+
                 }
             }
 
-            /// Reset all counters to zero.
+            /// Reset all counters (every stripe) to zero.
             pub fn reset(&self) {
-                // ordering: Relaxed — counter reset between phases; racing
-                // bumps land on either side, both acceptable.
-                $(self.$name.store(0, Ordering::Relaxed);)+
+                $(self.$name.reset();)+
             }
         }
 
@@ -137,17 +200,14 @@ counters! {
 impl Metrics {
     #[inline]
     /// Add 1 to a counter (helper so call sites stay short).
-    pub fn bump(counter: &AtomicU64) {
-        // ordering: Relaxed — statistical counter; no memory is published
-        // through it, totals are read at quiescence or advisorily.
-        counter.fetch_add(1, Ordering::Relaxed);
+    pub fn bump(counter: &Counter) {
+        counter.add(1);
     }
 
     #[inline]
     /// Add `n` to a counter.
-    pub fn add(counter: &AtomicU64, n: u64) {
-        // ordering: Relaxed — statistical counter, see bump.
-        counter.fetch_add(n, Ordering::Relaxed);
+    pub fn add(counter: &Counter, n: u64) {
+        counter.add(n);
     }
 
     /// Count a protocol rejection of `txn`'s access to `segment`/`key`
@@ -236,6 +296,48 @@ mod tests {
         assert_eq!(s.reads, 2);
         assert_eq!(s.read_registrations, 5);
         assert_eq!(s.writes, 0);
+    }
+
+    #[test]
+    fn striped_counters_sum_exactly_across_threads() {
+        const THREADS: u64 = 24; // more threads than stripes: some share
+        const BUMPS: u64 = 5_000;
+        let m = std::sync::Arc::new(Metrics::default());
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let m = std::sync::Arc::clone(&m);
+                std::thread::spawn(move || {
+                    for _ in 0..BUMPS {
+                        Metrics::bump(&m.reads);
+                        Metrics::add(&m.writes, t);
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let s = m.snapshot();
+        assert_eq!(s.reads, THREADS * BUMPS);
+        assert_eq!(s.writes, BUMPS * (0..THREADS).sum::<u64>());
+        // ordering: Relaxed — read after every writer joined.
+        let used = m
+            .reads
+            .stripes
+            .iter()
+            .filter(|s| s.0.load(Ordering::Relaxed) > 0);
+        assert!(
+            STRIPES == 1 || used.count() > 1,
+            "concurrent threads spread over stripes"
+        );
+        m.reset();
+        assert_eq!(m.snapshot(), MetricsSnapshot::default());
+        // ordering: Relaxed — read after every writer joined.
+        assert!(m
+            .reads
+            .stripes
+            .iter()
+            .all(|s| s.0.load(Ordering::Relaxed) == 0));
     }
 
     #[test]

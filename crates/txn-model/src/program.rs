@@ -9,36 +9,40 @@
 use crate::ids::GranuleId;
 use crate::scheduler::TxnProfile;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// The values a transaction has read so far, available to computed writes.
 /// Holds shared references to version payloads — recording a read never
-/// copies the value.
+/// copies the value. Programs read a handful of granules, so lookups scan
+/// the read list (newest first) instead of hashing.
 #[derive(Debug, Default, Clone)]
 pub struct ReadCtx {
-    by_granule: HashMap<GranuleId, Arc<Value>>,
     in_order: Vec<(GranuleId, Arc<Value>)>,
 }
 
 impl ReadCtx {
     /// Record a read result.
     pub fn record(&mut self, g: GranuleId, v: Arc<Value>) {
-        self.by_granule.insert(g, Arc::clone(&v));
         self.in_order.push((g, v));
+    }
+
+    /// The latest value read from `g`.
+    fn last(&self, g: GranuleId) -> Option<&Value> {
+        self.in_order
+            .iter()
+            .rev()
+            .find_map(|(read, v)| (*read == g).then_some(&**v))
     }
 
     /// The value read from `g` (last read wins), or [`Value::Absent`].
     pub fn get(&self, g: GranuleId) -> Value {
-        self.by_granule
-            .get(&g)
-            .map_or(Value::Absent, |v| (**v).clone())
+        self.last(g).cloned().unwrap_or(Value::Absent)
     }
 
     /// Integer value read from `g` (0 when absent).
     pub fn int(&self, g: GranuleId) -> i64 {
-        self.by_granule.get(&g).map_or(0, |v| v.as_int())
+        self.last(g).map_or(0, Value::as_int)
     }
 
     /// Sum of all integer values read, in read order (duplicates counted).

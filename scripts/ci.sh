@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the full test suite, and a release
-# smoke of the hot-path experiment. Run from the repository root:
+# Local CI gate: formatting, lints, the full test suite, release smokes
+# of the experiments, and the benchmark package's own tests. Run from
+# the repository root:
 #
 #   scripts/ci.sh
 #
@@ -105,5 +106,13 @@ for key in quality_milli optimal advised_labels drift_score_milli suggestions; d
     exit 1
   fi
 done
+
+echo "== hddbench smoke (release) =="
+# The benchmark package implements Scheduler and StorageBackend itself
+# (tracing decorators) and builds against the engine crates by path, so
+# an engine API change that breaks it fails here rather than in the
+# benchmark run. Its smoke test also pins the printed metric names and
+# units to BENCHMARK.json.
+cargo test --release -q --manifest-path hddbench/Cargo.toml
 
 echo "CI OK"
