@@ -1,8 +1,10 @@
-//! # chaos — deterministic fault injection for the HDD runtime
+//! # chaos — deterministic fault plans for the HDD runtime
 //!
-//! A seeded harness that drives transaction programs against any
-//! [`Scheduler`](txn_model::Scheduler) while injecting faults drawn
-//! from a reproducible [`FaultPlan`]:
+//! Reproducible, seeded fault assignments. A [`FaultPlan`] says which
+//! worker fault (if any) hits each transaction program; the concurrent
+//! driver (`sim::concurrent::run_concurrent`) takes it as its optional
+//! fault hook and injects it at two fault points, before each operation
+//! and between the last operation and the commit:
 //!
 //! * **Crash** — the worker abandons its transaction mid-program
 //!   *without* aborting it, leaving pending versions in the store and a
@@ -19,23 +21,21 @@
 //!   stretching the transaction's activity interval.
 //!
 //! Faults are assigned per program by [`FaultPlan::generate`] from a
-//! seed, so a failing schedule replays exactly. A monitor thread
-//! samples the scheduler's `timewalls_released` counter and reports the
-//! longest gap between consecutive wall releases — the observable
-//! measure of "the time wall resumed within a bounded interval" that
-//! experiment E16 asserts on.
+//! seed, so a failing schedule replays exactly. The driver's
+//! maintenance ticker samples the scheduler's `timewalls_released`
+//! counter and reports the longest gap between consecutive wall
+//! releases — the observable measure of "the time wall resumed within
+//! a bounded interval" that experiment E16 asserts on. [`disk`] holds
+//! the matching seeded disk faults for the group-commit WAL.
 //!
-//! The harness is scheduler-agnostic but only meaningful against
-//! schedulers that survive abandonment: run HDD with
-//! `HddConfig::txn_lease` set, or crashed programs pin the registry
-//! forever.
+//! Plans are scheduler-agnostic but only meaningful against schedulers
+//! that survive abandonment: run HDD with `HddConfig::txn_lease` set,
+//! or crashed programs pin the registry forever.
 
 #![warn(missing_docs)]
 
 pub mod disk;
-pub mod driver;
 pub mod plan;
 
 pub use disk::{DiskFaultKind, DiskFaultPlan};
-pub use driver::{run_chaos, ChaosReport, ChaosRunConfig};
 pub use plan::{ChaosConfig, FaultKind, FaultPlan};

@@ -56,7 +56,7 @@ impl RejectReason {
     }
 }
 
-/// Which fault the chaos harness injected at a [`TraceEvent::CrashPoint`].
+/// Which fault a fault plan injected at a [`TraceEvent::CrashPoint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultCode {
     /// Worker crashed mid-transaction (abandoned without abort).
@@ -183,7 +183,7 @@ pub enum TraceEvent {
         /// How far past its deadline it was, in microseconds.
         overdue_micros: u64,
     },
-    /// The chaos harness injected a fault into a worker.
+    /// The concurrent driver's fault plan injected a fault into a worker.
     CrashPoint {
         /// The transaction the fault hit.
         txn: u64,

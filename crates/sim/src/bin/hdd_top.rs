@@ -1,9 +1,10 @@
 //! `hdd-top` — a live terminal dashboard over a running HDD scheduler.
 //!
-//! Spawns a closed-loop concurrent driver (or the chaos driver with
-//! `--chaos`) over a bundled workload, enables the `obs` sidecar, and
-//! redraws the gauge board — time-wall lag, per-class `I_old`,
-//! registry/settled-cursor lag, MV-store chain depth and GC backlog,
+//! Spawns the closed-loop concurrent driver over a bundled workload
+//! (with `--chaos`, under a seeded fault plan of worker crashes, stalls
+//! and delayed commits), enables the `obs` sidecar, and redraws the
+//! gauge board — time-wall lag, per-class `I_old`, registry and
+//! settled-cursor lag, MV-store chain depth and GC backlog,
 //! reject-reason deltas and the cross-read staleness quantiles — at
 //! `--hz` frames per second (default 4). On exit it can dump the final
 //! state as Prometheus text exposition (`--prom out.prom`) and the
@@ -16,7 +17,6 @@
 //! cargo run --release -p sim --bin hdd-top -- --frames 4 --prom out.prom --chrome-trace out.json
 //! ```
 
-use chaos::driver::{run_chaos, ChaosRunConfig};
 use chaos::plan::{ChaosConfig, FaultPlan};
 use hdd::protocol::HddConfig;
 use obs::{chrome_trace, prometheus_text_full, validate_chrome_trace, validate_prometheus};
@@ -52,11 +52,29 @@ OPTIONS:
   --frames N         stop after N frames (default: duration-bound)
   --once             drive one bounded wave, render a single frame to
                      stderr and print a snapshot JSON object on stdout
-  --chaos            use the fault-injecting chaos driver
+  --chaos            inject seeded worker faults (crash, stall, delay)
+                     under a 5 ms transaction lease the watchdog enforces
   --no-clear         append frames instead of clearing the screen
   --prom PATH        on exit, write Prometheus text exposition to PATH
   --chrome-trace PATH  on exit, write a Chrome/Perfetto trace to PATH
 ";
+
+/// Driver settings for one wave of `txns` programs. With a fault-plan
+/// seed (`--chaos`) the wave runs under that seeded plan with a 5 s
+/// per-program deadline; the plan also gives the wave the driver's
+/// fault drain, so the watchdog reaps end-of-wave corpses.
+fn wave_config(workers: usize, txns: usize, fault_seed: Option<u64>) -> ConcurrentConfig {
+    ConcurrentConfig {
+        workers,
+        obs: true,
+        verify: false,
+        capture_log: false,
+        txn_deadline: fault_seed.map(|_| Duration::from_secs(5)),
+        faults: fault_seed
+            .map(|seed| Arc::new(FaultPlan::generate(seed, txns, &ChaosConfig::default()))),
+        ..ConcurrentConfig::default()
+    }
+}
 
 struct Opts {
     workload: String,
@@ -186,17 +204,24 @@ fn main() {
         }
     };
     let segment_names = w.segment_names();
-    let (sched, _store, hierarchy) = build_hdd_with_config(w.as_ref(), HddConfig::default());
-    // The drivers also set this per wave, but turning it on up front
+    // Under --chaos a transaction lease arms the straggler watchdog:
+    // without it a crashed worker's registry entry pins the time wall
+    // for the rest of the run.
+    let config = HddConfig {
+        txn_lease: opts.chaos.then_some(Duration::from_millis(5)),
+        ..HddConfig::default()
+    };
+    let (sched, _store, hierarchy) = build_hdd_with_config(w.as_ref(), config);
+    // The driver also sets this per wave, but turning it on up front
     // means the very first frame already sees live gauges. The drift
     // sketch has its own switch and only hdd-top turns it on.
     sched.metrics().obs.set_enabled(true);
     sched.metrics().obs.drift.set_enabled(true);
 
-    let mode = if opts.chaos { "chaos" } else { "concurrent" };
+    let faults = if opts.chaos { ", faults" } else { "" };
     let title = format!(
-        "{} ({} driver, {} workers)",
-        opts.workload, mode, opts.workers
+        "{} (concurrent driver{faults}, {} workers)",
+        opts.workload, opts.workers
     );
 
     if opts.once {
@@ -204,24 +229,8 @@ fn main() {
         // (stdout) — the machine-readable path for scripts and CI.
         let mut rng = StdRng::seed_from_u64(0x70D0_0001);
         let programs: Vec<_> = (0..opts.txns).map(|_| w.generate(&mut rng)).collect();
-        if opts.chaos {
-            let plan = FaultPlan::generate(0x70D0_1000, opts.txns, &ChaosConfig::default());
-            let cfg = ChaosRunConfig {
-                workers: opts.workers,
-                trace: true,
-                ..ChaosRunConfig::default()
-            };
-            run_chaos(sched.as_ref(), programs, &plan, &cfg);
-        } else {
-            let cfg = ConcurrentConfig {
-                workers: opts.workers,
-                obs: true,
-                verify: false,
-                capture_log: false,
-                ..ConcurrentConfig::default()
-            };
-            run_concurrent(sched.as_ref(), programs, &cfg);
-        }
+        let cfg = wave_config(opts.workers, opts.txns, opts.chaos.then_some(0x70D0_1000));
+        run_concurrent(sched.as_ref(), programs, &cfg);
         sched.refresh_gauges_now();
         sched.refresh_drift_now();
         let mut dash =
@@ -261,25 +270,8 @@ fn main() {
             // run one extra wave after the store, which is harmless.
             while !stop_ref.load(Ordering::Relaxed) {
                 let programs: Vec<_> = (0..txns).map(|_| w.generate(&mut rng)).collect();
-                if chaos_mode {
-                    let plan =
-                        FaultPlan::generate(0x70D0_1000 ^ wave, txns, &ChaosConfig::default());
-                    let cfg = ChaosRunConfig {
-                        workers,
-                        trace: true,
-                        ..ChaosRunConfig::default()
-                    };
-                    run_chaos(sched_ref.as_ref(), programs, &plan, &cfg);
-                } else {
-                    let cfg = ConcurrentConfig {
-                        workers,
-                        obs: true,
-                        verify: false,
-                        capture_log: false,
-                        ..ConcurrentConfig::default()
-                    };
-                    run_concurrent(sched_ref.as_ref(), programs, &cfg);
-                }
+                let cfg = wave_config(workers, txns, chaos_mode.then_some(0x70D0_1000 ^ wave));
+                run_concurrent(sched_ref.as_ref(), programs, &cfg);
                 wave += 1;
             }
         });

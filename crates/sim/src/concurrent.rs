@@ -1,22 +1,44 @@
-//! Multi-threaded closed-loop driver for wall-clock throughput runs.
+//! Multi-threaded closed-loop driver: the one driver behind every
+//! wall-clock run, fault-injection soaks included.
 //!
 //! `workers` threads claim transaction programs off a shared slice via a
 //! single atomic cursor — no queue mutex, no per-claim allocation — and
 //! drive them to commit, retrying blocked operations under bounded
-//! exponential backoff and restarting aborted ones. A coordinator thread
-//! ticks the scheduler's maintenance hook until every worker exits.
-//! Semantics match the deterministic driver; only the interleaving
-//! source differs.
+//! exponential backoff and restarting aborted ones. Every counter is
+//! worker-local and summed when the workers join. Semantics match the
+//! deterministic driver; only the interleaving source differs.
+//!
+//! The calling thread is the maintenance ticker: it calls the
+//! scheduler's maintenance hook until every worker has finished
+//! (normally or by panic) and, under a fault plan, for [`FAULT_DRAIN`]
+//! more, so the straggler watchdog can reap corpses a crash left near
+//! the end.
+//! After each tick it samples `timewalls_released` and tracks the
+//! longest gap between wall releases — the observable "the time wall
+//! resumed within a bounded interval".
+//!
+//! With [`ConcurrentConfig::faults`] set, each claimed program reads its
+//! [`FaultKind`] once, and a worker-local `armed` flag gates two fault
+//! points: before each operation, and between the last operation and
+//! the commit. *Crash* abandons the transaction without aborting it
+//! (pending versions and the registry entry stay behind, as after a
+//! killed process), *Stall* sleeps holding the registry entry,
+//! *DelayCommit* sleeps before the commit; each emits a
+//! [`TraceEvent::CrashPoint`] and fires at most once per program, across
+//! restarts. Without a plan the per-operation cost is one branch on the
+//! local flag.
 
 use crate::driver::RunStats;
-use obs::{SpanEvent, SpanKind, Terminal, NO_CLASS};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use chaos::{FaultKind, FaultPlan};
+use obs::{FaultCode, Obs, SpanEvent, SpanKind, Terminal, TraceEvent, NO_CLASS};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 use txn_model::program::ReadCtx;
 use txn_model::{
-    CommitOutcome, DependencyGraph, GroupCommitWal, ReadOutcome, ScheduleEvent, Scheduler, Step,
-    TxnProgram, WriteOutcome,
+    CommitOutcome, DependencyGraph, GranuleId, GroupCommitWal, ReadOutcome, ScheduleEvent,
+    Scheduler, Step, TxnProgram, WriteOutcome,
 };
 
 /// Concurrent driver configuration.
@@ -37,8 +59,9 @@ pub struct ConcurrentConfig {
     /// Enable the scheduler's observability sidecar for this run: the
     /// driver then records commit latency (claim → commit, retries
     /// included), per-operation service time, block-wait spans and
-    /// backoff sleeps into `scheduler.metrics().obs`. Off by default —
-    /// disabled recording costs one branch per claimed program.
+    /// backoff sleeps into `scheduler.metrics().obs`, and injected faults
+    /// land in the decision trace. Off by default — disabled recording
+    /// costs one branch per claimed program.
     pub obs: bool,
     /// Per-transaction deadline, measured from program claim and
     /// spanning all retries. A program still blocked or restarting past
@@ -62,7 +85,18 @@ pub struct ConcurrentConfig {
     /// the WAL crashed lands in [`ConcurrentStats::wal_lost`] instead of
     /// `committed`.
     pub wal: Option<Arc<GroupCommitWal>>,
+    /// Fault plan: `faults[i]` is injected into the worker running
+    /// program `i` (see the module docs). Only meaningful against
+    /// schedulers that survive abandonment, e.g. HDD with
+    /// `HddConfig::txn_lease` set, and adds a [`FAULT_DRAIN`] to the run.
+    pub faults: Option<Arc<FaultPlan>>,
 }
+
+/// How long the ticker keeps calling maintenance after the last worker
+/// finishes when a fault plan is set, so the watchdog reaps stragglers
+/// crashed near the end. Comfortably larger than the 5–20 ms leases the
+/// fault-injection callers run under; runs without a plan get no drain.
+pub const FAULT_DRAIN: Duration = Duration::from_millis(50);
 
 impl Default for ConcurrentConfig {
     fn default() -> Self {
@@ -76,6 +110,7 @@ impl Default for ConcurrentConfig {
             txn_deadline: None,
             flight_sample: 0,
             wal: None,
+            faults: None,
         }
     }
 }
@@ -117,20 +152,6 @@ fn timed<T>(on: bool, hist: &obs::LatencyRecorder, f: impl FnOnce() -> T) -> T {
     }
 }
 
-/// Drop guard: the last worker to exit stops the maintenance ticker.
-struct WorkerGuard<'a> {
-    active: &'a AtomicUsize,
-    done: &'a AtomicBool,
-}
-
-impl Drop for WorkerGuard<'_> {
-    fn drop(&mut self) {
-        if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.done.store(true, Ordering::Release);
-        }
-    }
-}
-
 /// Gate for oversubscribed stress/sweep legs: `Some(requested)` when the
 /// host can meaningfully run `requested` workers (mild oversubscription
 /// is the point of the high legs, so anything up to 8× the available
@@ -142,12 +163,23 @@ pub fn capped_workers(requested: usize) -> Option<usize> {
     (requested <= avail.saturating_mul(8)).then_some(requested)
 }
 
+/// Faults fired over a run (see [`ConcurrentConfig::faults`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultCounts {
+    /// Crash faults: transactions abandoned without abort.
+    pub crashed: usize,
+    /// Stall faults.
+    pub stalled: usize,
+    /// Commit-delay faults.
+    pub delayed: usize,
+}
+
 /// Result of a concurrent run: the shared [`RunStats`] plus wall time.
 #[derive(Debug, Clone)]
 pub struct ConcurrentStats {
     /// Common counters (steps counts operation attempts).
     pub stats: RunStats,
-    /// Wall-clock duration of the run.
+    /// Wall-clock duration of the run, drain included.
     pub elapsed: Duration,
     /// Committed transactions per second (durable commits only when a
     /// WAL is configured).
@@ -156,6 +188,341 @@ pub struct ConcurrentStats {
     /// (committed in memory, not on disk; excluded from `committed`).
     /// Always 0 without a WAL.
     pub wal_lost: usize,
+    /// Counted commits that carried redo records through the WAL
+    /// (update transactions; read-only commits have nothing to
+    /// journal). Always 0 without a WAL.
+    pub journaled: usize,
+    /// Faults fired by the plan. All zero without one.
+    pub faults: FaultCounts,
+    /// Time walls released over the run, drain included.
+    pub wall_releases: u64,
+    /// Longest gap between consecutive wall releases seen by the
+    /// ticker, including the tail from the last release to the end of
+    /// the drain (the whole run when no wall was released). Under HDD
+    /// with a lease, a bounded value shows injected stragglers never
+    /// wedged the time wall for good.
+    pub max_release_gap: Duration,
+}
+
+/// Worker-local counters, summed when the workers join.
+#[derive(Default)]
+struct Tally {
+    steps: usize,
+    committed: usize,
+    restarts: usize,
+    gave_up: usize,
+    deadline_exceeded: usize,
+    wal_lost: usize,
+    journaled: usize,
+    faults: FaultCounts,
+}
+
+/// One contiguous run of `Block` outcomes: the backoff state, plus (with
+/// obs on) its start and the portion slept, for the block-wait sample
+/// and the flight's `Wait` span.
+#[derive(Default)]
+struct Streak {
+    spins: u32,
+    since: Option<Instant>,
+    start_ns: Option<u64>,
+    slept_ns: u64,
+}
+
+impl Streak {
+    /// Count one `Block` (at flight time `span_start` when traced) and
+    /// back off.
+    fn block(&mut self, mobs: &Obs, obs_on: bool, span_start: Option<u64>) {
+        if obs_on && self.since.is_none() {
+            self.since = Some(Instant::now());
+            self.start_ns = span_start;
+            self.slept_ns = 0;
+        }
+        self.spins += 1;
+        let slept = backoff(self.spins);
+        if obs_on && !slept.is_zero() {
+            mobs.backoff_sleep.record(slept.as_nanos() as u64);
+            self.slept_ns += slept.as_nanos() as u64;
+        }
+    }
+
+    /// End the streak — on progress and on every terminal alike — with
+    /// one block-wait sample and, when traced, a `Wait` span.
+    fn close(&mut self, mobs: &Obs, txn: u64) {
+        self.spins = 0;
+        if let Some(t) = self.since.take() {
+            let dur_ns = t.elapsed().as_nanos() as u64;
+            mobs.block_wait.record(dur_ns);
+            if let Some(start_ns) = self.start_ns.take() {
+                mobs.flight.push(SpanEvent::Wait {
+                    txn,
+                    start_ns,
+                    dur_ns,
+                    slept_ns: self.slept_ns,
+                });
+            }
+        }
+    }
+}
+
+/// One worker's view of the run plus its local tally.
+struct Worker<'a> {
+    sched: &'a dyn Scheduler,
+    cfg: &'a ConcurrentConfig,
+    mobs: &'a Obs,
+    obs_on: bool,
+    flight_on: bool,
+    index: u32,
+    tally: Tally,
+}
+
+impl Worker<'_> {
+    /// Close a sampled flight (each begin is its own flight; restarts
+    /// begin fresh transactions, hence fresh flights).
+    fn flight_end(&self, traced: bool, txn: u64, terminal: Terminal) {
+        if traced {
+            self.mobs.flight.push(SpanEvent::End {
+                txn,
+                at_ns: self.mobs.flight.now_ns(),
+                terminal,
+            });
+        }
+    }
+
+    /// Record a traced operation span started at `start`.
+    fn op_span(&self, start: Option<u64>, txn: u64, kind: SpanKind, g: Option<GranuleId>) {
+        if let Some(start_ns) = start {
+            let (segment, key) = g.map_or((0, 0), |g| (g.segment.0, g.key));
+            self.mobs.flight.push(SpanEvent::Op {
+                txn,
+                kind,
+                segment,
+                key,
+                start_ns,
+                dur_ns: self.mobs.flight.now_ns().saturating_sub(start_ns),
+            });
+        }
+    }
+
+    /// Drive one program to a terminal. Each attempt runs the operations
+    /// and then the commit (step `pc == steps.len()`), retrying blocked
+    /// steps under backoff; every abort — read, write, commit or a
+    /// passed deadline — leaves the attempt into the one deadline →
+    /// give-up → restart ladder.
+    fn run_program(&mut self, program: &TxnProgram, fault: FaultKind) {
+        let (sched, mobs) = (self.sched, self.mobs);
+        // Commit latency and the deadline both span the whole program:
+        // claim to commit, across aborts/restarts.
+        let claimed_at = self.obs_on.then(Instant::now);
+        let deadline = self.cfg.txn_deadline.map(|d| Instant::now() + d);
+        // A fault fires at most once per program, even across restarts.
+        let mut armed = fault != FaultKind::None;
+        let mut tries = 0usize;
+        loop {
+            let handle = sched.begin(&program.profile);
+            let txn = handle.id.0;
+            // Admission: every attempt is its own flight (`begin` draws a
+            // fresh id); `admit` counts it and returns true when it falls
+            // on the stride.
+            let class = handle.class.map_or(NO_CLASS, |c| c.0);
+            let traced = self.flight_on && mobs.flight.admit(txn, class, self.index);
+            // In sampled mode, unsampled transactions skip op timing too
+            // (counter-only hot path).
+            let time_ops = self.obs_on && (!self.flight_on || traced);
+            let hist = &mobs.op_service;
+            // Redo events for the durability submit; read-only
+            // transactions skip the WAL.
+            let wal = self.cfg.wal.as_deref().filter(|_| handle.class.is_some());
+            let mut redo = Vec::new();
+            if wal.is_some() {
+                redo.push(ScheduleEvent::Begin {
+                    txn: handle.id,
+                    start_ts: handle.start_ts,
+                    class: handle.class,
+                });
+            }
+            let mut ctx = ReadCtx::default();
+            let mut streak = Streak::default();
+            let mut pc = 0usize;
+            // One attempt; `break` means it aborted.
+            loop {
+                let at_commit = pc == program.steps.len();
+                if armed && self.fault_point(fault, txn, pc, at_commit) {
+                    armed = false;
+                    // A crash abandons the transaction without abort.
+                    if matches!(fault, FaultKind::Crash { .. }) {
+                        self.flight_end(traced, txn, Terminal::Abandoned);
+                        return;
+                    }
+                }
+                self.tally.steps += 1;
+                let span_start = traced.then(|| mobs.flight.now_ns());
+                let progressed = match program.steps.get(pc) {
+                    Some(Step::Read(g)) => {
+                        match timed(time_ops, hist, || sched.read(&handle, *g)) {
+                            ReadOutcome::Value(v) => {
+                                self.op_span(span_start, txn, SpanKind::Read, Some(*g));
+                                ctx.record(*g, v);
+                                true
+                            }
+                            ReadOutcome::Block => false,
+                            ReadOutcome::Abort => {
+                                sched.abort(&handle);
+                                break;
+                            }
+                        }
+                    }
+                    Some(Step::Write(g, src)) => {
+                        let v = src.resolve(&ctx);
+                        let journaled = wal.is_some().then(|| Arc::new(v.clone()));
+                        match timed(time_ops, hist, || sched.write(&handle, *g, v)) {
+                            WriteOutcome::Done => {
+                                if let Some(value) = journaled {
+                                    redo.push(ScheduleEvent::Write {
+                                        txn: handle.id,
+                                        granule: *g,
+                                        version: handle.start_ts,
+                                        value,
+                                    });
+                                }
+                                self.op_span(span_start, txn, SpanKind::Write, Some(*g));
+                                true
+                            }
+                            WriteOutcome::Block => false,
+                            WriteOutcome::Abort => {
+                                sched.abort(&handle);
+                                break;
+                            }
+                        }
+                    }
+                    None => match timed(time_ops, hist, || sched.commit(&handle)) {
+                        CommitOutcome::Committed(commit_ts) => {
+                            streak.close(mobs, txn);
+                            if wal.is_some() {
+                                redo.push(ScheduleEvent::Commit {
+                                    txn: handle.id,
+                                    commit_ts,
+                                });
+                            }
+                            if wal.is_none_or(|wal| self.durable(wal, &redo)) {
+                                self.tally.committed += 1;
+                                if let Some(t) = claimed_at {
+                                    mobs.commit_latency.record(t.elapsed().as_nanos() as u64);
+                                }
+                            }
+                            self.op_span(span_start, txn, SpanKind::Commit, None);
+                            self.flight_end(traced, txn, Terminal::Committed);
+                            return;
+                        }
+                        CommitOutcome::Block => false,
+                        CommitOutcome::Aborted => break,
+                    },
+                };
+                if progressed {
+                    pc += 1;
+                    streak.close(mobs, txn);
+                } else if past(deadline) {
+                    sched.abort(&handle);
+                    break;
+                } else {
+                    streak.block(mobs, self.obs_on, span_start);
+                }
+            }
+            streak.close(mobs, txn);
+            tries += 1;
+            let terminal = if past(deadline) {
+                self.tally.deadline_exceeded += 1;
+                Terminal::DeadlineExceeded
+            } else if tries > self.cfg.max_restarts {
+                self.tally.gave_up += 1;
+                Terminal::GaveUp
+            } else {
+                self.tally.restarts += 1;
+                Terminal::Aborted
+            };
+            self.flight_end(traced, txn, terminal);
+            if terminal != Terminal::Aborted {
+                return;
+            }
+        }
+    }
+
+    /// The group-commit ack rule: submit a committed transaction's redo
+    /// events and report whether its batch is durable. A commit whose ack
+    /// fails because the WAL crashed is counted as lost, not committed.
+    fn durable(&mut self, wal: &GroupCommitWal, redo: &[ScheduleEvent]) -> bool {
+        let Ok(ack) = wal.submit(redo) else {
+            self.tally.wal_lost += 1;
+            return false;
+        };
+        if let Some(a) = ack {
+            let gauges = &self.mobs.gauges;
+            gauges.record_wal_batch(a.frames as u64, a.bytes as u64, a.fsync_ns);
+        }
+        self.tally.journaled += 1;
+        true
+    }
+
+    /// A fault point, reached with `ops` operations done (`at_commit`:
+    /// between the last operation and the commit, where every armed
+    /// fault is due). Fires `fault` if it is due — a stall or commit
+    /// delay sleeps here — and returns whether it fired.
+    fn fault_point(&mut self, fault: FaultKind, txn: u64, ops: usize, at_commit: bool) -> bool {
+        let faults = &mut self.tally.faults;
+        let (code, micros) = match fault {
+            FaultKind::Crash { after_ops } if at_commit || ops >= after_ops => {
+                faults.crashed += 1;
+                (FaultCode::Crash, 0)
+            }
+            FaultKind::Stall { after_ops, micros } if at_commit || ops >= after_ops => {
+                faults.stalled += 1;
+                (FaultCode::Stall, micros)
+            }
+            FaultKind::DelayCommit { micros } if at_commit => {
+                faults.delayed += 1;
+                (FaultCode::DelayCommit, micros)
+            }
+            _ => return false,
+        };
+        self.mobs.emit(TraceEvent::CrashPoint {
+            txn,
+            op_index: ops as u64,
+            fault: code,
+        });
+        if code != FaultCode::Crash {
+            std::thread::sleep(Duration::from_micros(micros));
+        }
+        true
+    }
+}
+
+/// The maintenance ticker: ticks until `done` and then, under a fault
+/// plan, for [`FAULT_DRAIN`] more, so a worker blocked on maintenance-driven state (time-wall
+/// release, lock queues, a watchdog reap) always makes progress
+/// eventually. Returns the walls released and the longest gap between
+/// releases, the tail to the end included.
+fn tick(sched: &dyn Scheduler, cfg: &ConcurrentConfig, done: impl Fn() -> bool) -> (u64, Duration) {
+    let walls = &sched.metrics().timewalls_released;
+    let first = walls.get();
+    let (mut last, mut last_change) = (first, Instant::now());
+    let mut max_gap = Duration::ZERO;
+    let drain = cfg.faults.as_ref().map_or(Duration::ZERO, |_| FAULT_DRAIN);
+    let mut stop_at = None;
+    while stop_at.is_none_or(|t| Instant::now() < t) {
+        sched.maintenance();
+        // A stale sum of the release counter only widens the gap.
+        let cur = walls.get();
+        if cur != last {
+            let now = Instant::now();
+            max_gap = max_gap.max(now - last_change);
+            (last, last_change) = (cur, now);
+        }
+        std::thread::sleep(cfg.maintenance_interval);
+        if stop_at.is_none() && done() {
+            stop_at = Some(Instant::now() + drain);
+        }
+    }
+    let max_gap = max_gap.max(last_change.elapsed());
+    (last.saturating_sub(first), max_gap)
 }
 
 /// Run `programs` across threads.
@@ -167,408 +534,75 @@ pub fn run_concurrent(
     if !cfg.capture_log {
         scheduler.log().set_enabled(false);
     }
+    let mobs = &scheduler.metrics().obs;
     if cfg.obs {
-        scheduler.metrics().obs.set_enabled(true);
+        mobs.set_enabled(true);
     }
     if cfg.flight_sample > 0 {
-        scheduler
-            .metrics()
-            .obs
-            .flight
-            .set_sample_every(cfg.flight_sample);
+        mobs.flight.set_sample_every(cfg.flight_sample);
     }
     // One load up front: the flag is stable for the whole run, so the
     // disabled path costs a branch per operation, not an atomic load.
-    let obs_on = scheduler.metrics().obs.enabled();
-    let mobs = &scheduler.metrics().obs;
+    let obs_on = mobs.enabled();
     // Sampled mode: every Nth transaction attempt gets the full span
     // treatment, the rest stay counter-only (op timing included — that
     // is what keeps sampled-mode overhead near the disabled baseline).
     let flight_on = obs_on && mobs.flight.active();
     let programs = &programs[..];
-    let cursor = AtomicUsize::new(0);
-    let restarts = AtomicUsize::new(0);
-    let gave_up = AtomicUsize::new(0);
-    let deadline_exceeded = AtomicUsize::new(0);
-    let wal_lost = AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
-    let active_workers = AtomicUsize::new(cfg.workers);
-    // Reference bindings so the worker closures can be `move` (they
-    // need their worker index by value) while sharing the counters.
-    let (cursor, restarts, gave_up, deadline_exceeded, wal_lost, done, active_workers) = (
-        &cursor,
-        &restarts,
-        &gave_up,
-        &deadline_exceeded,
-        &wal_lost,
-        &done,
-        &active_workers,
-    );
-    let wal = cfg.wal.as_deref();
+    let cursor = &AtomicUsize::new(0);
 
     let start = Instant::now();
-    let (steps, committed) = std::thread::scope(|scope| {
-        // Maintenance ticker: runs until every worker has exited, so a
-        // worker blocked on maintenance-driven state (time-wall release,
-        // lock queues) always makes progress eventually.
-        scope.spawn(|| {
-            // ordering: Relaxed — advisory stop flag; one extra iteration after the store is harmless.
-            while !done.load(Ordering::Relaxed) {
-                scheduler.maintenance();
-                std::thread::sleep(cfg.maintenance_interval);
-            }
-        });
-        let mut workers = Vec::with_capacity(cfg.workers);
-        for wi in 0..cfg.workers {
-            workers.push(scope.spawn(move || {
-                let _guard = WorkerGuard {
-                    active: active_workers,
-                    done,
-                };
-                // Operation attempts and commits stay worker-local (no
-                // shared cache line written per operation) and are
-                // summed when the workers join.
-                let mut steps = 0u64;
-                let mut committed = 0usize;
-                // Close a sampled flight (each begin is its own flight;
-                // restarts begin fresh transactions, hence fresh
-                // flights).
-                let flight_end = |traced: bool, txn: u64, terminal: Terminal| {
-                    if traced {
-                        mobs.flight.push(SpanEvent::End {
-                            txn,
-                            at_ns: mobs.flight.now_ns(),
-                            terminal,
-                        });
-                    }
-                };
-                loop {
-                    // Claim the next program: one uncontended fetch_add.
-                    // ordering: Relaxed — work-claim ticket; uniqueness comes from fetch_add atomicity and the claimed program is immutable.
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(program) = programs.get(idx) else {
-                        break;
+    let (tallies, (wall_releases, max_release_gap)) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..cfg.workers)
+            .map(|wi| {
+                scope.spawn(move || {
+                    let mut worker = Worker {
+                        sched: scheduler,
+                        cfg,
+                        mobs,
+                        obs_on,
+                        flight_on,
+                        index: wi as u32,
+                        tally: Tally::default(),
                     };
-                    if obs_on {
-                        // Driver-progress gauge for hdd-top: two relaxed
-                        // stores, works for any scheduler (the board's
-                        // global cells need no configuration).
-                        mobs.gauges
-                            .set_driver_progress(idx as u64 + 1, programs.len() as u64);
+                    loop {
+                        // Claim the next program: one uncontended fetch_add.
+                        // ordering: Relaxed — work-claim ticket; uniqueness comes from fetch_add atomicity and the claimed program is immutable.
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(program) = programs.get(idx) else {
+                            break;
+                        };
+                        if obs_on {
+                            // Driver-progress gauge for hdd-top: two
+                            // relaxed stores, works for any scheduler.
+                            mobs.gauges
+                                .set_driver_progress(idx as u64 + 1, programs.len() as u64);
+                        }
+                        let fault = cfg.faults.as_ref().and_then(|p| p.faults.get(idx));
+                        worker.run_program(program, fault.copied().unwrap_or_default());
                     }
-                    // Commit latency spans the whole program: claim to
-                    // commit, across aborts/restarts.
-                    let claimed_at = obs_on.then(Instant::now);
-                    // The deadline spans the program's whole life too:
-                    // restarts don't reset it.
-                    let deadline = cfg.txn_deadline.map(|d| Instant::now() + d);
-                    let mut tries = 0usize;
-                    'retry: loop {
-                        let handle = scheduler.begin(&program.profile);
-                        // Admission: every attempt is its own flight
-                        // (`begin` draws a fresh id); `admit` counts it
-                        // and returns true when it falls on the stride.
-                        let traced = flight_on
-                            && mobs.flight.admit(
-                                handle.id.0,
-                                handle.class.map_or(NO_CLASS, |c| c.0),
-                                wi as u32,
-                            );
-                        // In sampled mode, unsampled transactions skip
-                        // op timing too (counter-only hot path).
-                        let time_ops = obs_on && (!flight_on || traced);
-                        // Redo events for the durability submit. A
-                        // restart begins a fresh transaction and thus a
-                        // fresh journal; read-only transactions skip
-                        // the WAL.
-                        let journal = wal.is_some() && handle.class.is_some();
-                        let mut redo: Vec<ScheduleEvent> = Vec::new();
-                        if journal {
-                            redo.push(ScheduleEvent::Begin {
-                                txn: handle.id,
-                                start_ts: handle.start_ts,
-                                class: handle.class,
-                            });
-                        }
-                        let mut ctx = ReadCtx::default();
-                        let mut pc = 0usize;
-                        let mut spins = 0u32;
-                        // Start of the current contiguous Block streak,
-                        // plus its flight-clock twin and the portion
-                        // actually slept (for the wait span).
-                        let mut block_since: Option<Instant> = None;
-                        let mut streak_start_ns: Option<u64> = None;
-                        let mut streak_slept_ns = 0u64;
-                        while pc < program.steps.len() {
-                            steps += 1;
-                            let span_start = traced.then(|| mobs.flight.now_ns());
-                            let outcome_block = match &program.steps[pc] {
-                                Step::Read(g) => match timed(time_ops, &mobs.op_service, || {
-                                    scheduler.read(&handle, *g)
-                                }) {
-                                    ReadOutcome::Value(v) => {
-                                        if let Some(s) = span_start {
-                                            mobs.flight.push(SpanEvent::Op {
-                                                txn: handle.id.0,
-                                                kind: SpanKind::Read,
-                                                segment: g.segment.0,
-                                                key: g.key,
-                                                start_ns: s,
-                                                dur_ns: mobs.flight.now_ns().saturating_sub(s),
-                                            });
-                                        }
-                                        ctx.record(*g, v);
-                                        pc += 1;
-                                        spins = 0;
-                                        false
-                                    }
-                                    ReadOutcome::Block => true,
-                                    ReadOutcome::Abort => {
-                                        scheduler.abort(&handle);
-                                        tries += 1;
-                                        if past(deadline) {
-                                            // ordering: Relaxed — statistical counter; totals are read after the worker scope joins (the join edge orders them).
-                                            deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                                            flight_end(
-                                                traced,
-                                                handle.id.0,
-                                                Terminal::DeadlineExceeded,
-                                            );
-                                            break 'retry;
-                                        }
-                                        if tries > cfg.max_restarts {
-                                            gave_up.fetch_add(1, Ordering::Relaxed); // ordering: stat counter; the scope join orders the final read
-                                            flight_end(traced, handle.id.0, Terminal::GaveUp);
-                                            break 'retry;
-                                        }
-                                        // ordering: Relaxed — statistical counter; totals are read after the worker scope joins (the join edge orders them).
-                                        restarts.fetch_add(1, Ordering::Relaxed);
-                                        flight_end(traced, handle.id.0, Terminal::Aborted);
-                                        continue 'retry;
-                                    }
-                                },
-                                Step::Write(g, src) => {
-                                    let v = src.resolve(&ctx);
-                                    let journaled = if journal {
-                                        Some(Arc::new(v.clone()))
-                                    } else {
-                                        None
-                                    };
-                                    match timed(time_ops, &mobs.op_service, || {
-                                        scheduler.write(&handle, *g, v)
-                                    }) {
-                                        WriteOutcome::Done => {
-                                            if let Some(value) = journaled {
-                                                redo.push(ScheduleEvent::Write {
-                                                    txn: handle.id,
-                                                    granule: *g,
-                                                    version: handle.start_ts,
-                                                    value,
-                                                });
-                                            }
-                                            if let Some(s) = span_start {
-                                                mobs.flight.push(SpanEvent::Op {
-                                                    txn: handle.id.0,
-                                                    kind: SpanKind::Write,
-                                                    segment: g.segment.0,
-                                                    key: g.key,
-                                                    start_ns: s,
-                                                    dur_ns: mobs.flight.now_ns().saturating_sub(s),
-                                                });
-                                            }
-                                            pc += 1;
-                                            spins = 0;
-                                            false
-                                        }
-                                        WriteOutcome::Block => true,
-                                        WriteOutcome::Abort => {
-                                            scheduler.abort(&handle);
-                                            tries += 1;
-                                            if past(deadline) {
-                                                // ordering: Relaxed — statistical counter; totals are read after the worker scope joins (the join edge orders them).
-                                                deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                                                flight_end(
-                                                    traced,
-                                                    handle.id.0,
-                                                    Terminal::DeadlineExceeded,
-                                                );
-                                                break 'retry;
-                                            }
-                                            if tries > cfg.max_restarts {
-                                                gave_up.fetch_add(1, Ordering::Relaxed); // ordering: stat counter; the scope join orders the final read
-                                                flight_end(traced, handle.id.0, Terminal::GaveUp);
-                                                break 'retry;
-                                            }
-                                            // ordering: Relaxed — statistical counter; totals are read after the worker scope joins (the join edge orders them).
-                                            restarts.fetch_add(1, Ordering::Relaxed);
-                                            flight_end(traced, handle.id.0, Terminal::Aborted);
-                                            continue 'retry;
-                                        }
-                                    }
-                                }
-                            };
-                            if outcome_block {
-                                if past(deadline) {
-                                    scheduler.abort(&handle);
-                                    // ordering: Relaxed — statistical counter; totals are read after the worker scope joins (the join edge orders them).
-                                    deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                                    flight_end(traced, handle.id.0, Terminal::DeadlineExceeded);
-                                    break 'retry;
-                                }
-                                if obs_on && block_since.is_none() {
-                                    block_since = Some(Instant::now());
-                                    if traced {
-                                        streak_start_ns = span_start;
-                                        streak_slept_ns = 0;
-                                    }
-                                }
-                                spins += 1;
-                                let slept = backoff(spins);
-                                if obs_on && !slept.is_zero() {
-                                    mobs.backoff_sleep.record(slept.as_nanos() as u64);
-                                    streak_slept_ns += slept.as_nanos() as u64;
-                                }
-                            } else if let Some(t) = block_since.take() {
-                                let dur_ns = t.elapsed().as_nanos() as u64;
-                                mobs.block_wait.record(dur_ns);
-                                if let Some(s) = streak_start_ns.take() {
-                                    mobs.flight.push(SpanEvent::Wait {
-                                        txn: handle.id.0,
-                                        start_ns: s,
-                                        dur_ns,
-                                        slept_ns: streak_slept_ns,
-                                    });
-                                }
-                            }
-                        }
-                        // Commit loop.
-                        let mut commit_spins = 0u32;
-                        let mut commit_block_since: Option<Instant> = None;
-                        let mut commit_streak_start_ns: Option<u64> = None;
-                        let mut commit_streak_slept_ns = 0u64;
-                        loop {
-                            steps += 1;
-                            let span_start = traced.then(|| mobs.flight.now_ns());
-                            match timed(time_ops, &mobs.op_service, || scheduler.commit(&handle)) {
-                                CommitOutcome::Committed(commit_ts) => {
-                                    // Group-commit ack rule: the commit
-                                    // counts only once its batch is on
-                                    // disk.
-                                    if journal {
-                                        redo.push(ScheduleEvent::Commit {
-                                            txn: handle.id,
-                                            commit_ts,
-                                        });
-                                        match wal.expect("journal implies wal").submit(&redo) {
-                                            Ok(Some(ack)) => mobs.gauges.record_wal_batch(
-                                                ack.frames as u64,
-                                                ack.bytes as u64,
-                                                ack.fsync_ns,
-                                            ),
-                                            Ok(None) => {}
-                                            Err(_) => {
-                                                // ordering: Relaxed — statistical counter; totals are read after the worker scope joins (the join edge orders them).
-                                                wal_lost.fetch_add(1, Ordering::Relaxed);
-                                                flight_end(
-                                                    traced,
-                                                    handle.id.0,
-                                                    Terminal::Committed,
-                                                );
-                                                break 'retry;
-                                            }
-                                        }
-                                    }
-                                    committed += 1;
-                                    if let Some(t) = commit_block_since.take() {
-                                        let dur_ns = t.elapsed().as_nanos() as u64;
-                                        mobs.block_wait.record(dur_ns);
-                                        if let Some(s) = commit_streak_start_ns.take() {
-                                            mobs.flight.push(SpanEvent::Wait {
-                                                txn: handle.id.0,
-                                                start_ns: s,
-                                                dur_ns,
-                                                slept_ns: commit_streak_slept_ns,
-                                            });
-                                        }
-                                    }
-                                    if let Some(s) = span_start {
-                                        mobs.flight.push(SpanEvent::Op {
-                                            txn: handle.id.0,
-                                            kind: SpanKind::Commit,
-                                            segment: 0,
-                                            key: 0,
-                                            start_ns: s,
-                                            dur_ns: mobs.flight.now_ns().saturating_sub(s),
-                                        });
-                                    }
-                                    if let Some(t) = claimed_at {
-                                        mobs.commit_latency.record(t.elapsed().as_nanos() as u64);
-                                    }
-                                    flight_end(traced, handle.id.0, Terminal::Committed);
-                                    break 'retry;
-                                }
-                                CommitOutcome::Block => {
-                                    if past(deadline) {
-                                        scheduler.abort(&handle);
-                                        // ordering: Relaxed — statistical counter; totals are read after the worker scope joins (the join edge orders them).
-                                        deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                                        flight_end(traced, handle.id.0, Terminal::DeadlineExceeded);
-                                        break 'retry;
-                                    }
-                                    if obs_on && commit_block_since.is_none() {
-                                        commit_block_since = Some(Instant::now());
-                                        if traced {
-                                            commit_streak_start_ns = span_start;
-                                            commit_streak_slept_ns = 0;
-                                        }
-                                    }
-                                    commit_spins += 1;
-                                    let slept = backoff(commit_spins);
-                                    if obs_on && !slept.is_zero() {
-                                        mobs.backoff_sleep.record(slept.as_nanos() as u64);
-                                        commit_streak_slept_ns += slept.as_nanos() as u64;
-                                    }
-                                }
-                                CommitOutcome::Aborted => {
-                                    tries += 1;
-                                    if past(deadline) {
-                                        // ordering: Relaxed — statistical counter; totals are read after the worker scope joins (the join edge orders them).
-                                        deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                                        flight_end(traced, handle.id.0, Terminal::DeadlineExceeded);
-                                        break 'retry;
-                                    }
-                                    if tries > cfg.max_restarts {
-                                        gave_up.fetch_add(1, Ordering::Relaxed); // ordering: stat counter; the scope join orders the final read
-                                        flight_end(traced, handle.id.0, Terminal::GaveUp);
-                                        break 'retry;
-                                    }
-                                    restarts.fetch_add(1, Ordering::Relaxed); // ordering: stat counter; the scope join orders the final read
-                                    flight_end(traced, handle.id.0, Terminal::Aborted);
-                                    continue 'retry;
-                                }
-                            }
-                        }
-                    }
-                }
-                (steps, committed)
-            }));
-        }
-        workers.into_iter().fold((0, 0), |(steps, committed), w| {
-            let (s, c) = w.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            (steps + s, committed + c)
-        })
+                    worker.tally
+                })
+            })
+            .collect();
+        let finished = || workers.iter().all(ScopedJoinHandle::is_finished);
+        let ticks = tick(scheduler, cfg, finished);
+        let tallies: Vec<Tally> = workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect();
+        (tallies, ticks)
     });
-    // ordering: Relaxed — advisory stop flag; the scope join below/above is the real synchronization.
-    done.store(true, Ordering::Relaxed);
     let elapsed = start.elapsed();
+    let sum = |count: fn(&Tally) -> usize| tallies.iter().map(count).sum::<usize>();
 
     let mut stats = RunStats {
-        committed,
-        restarts: restarts.load(Ordering::Relaxed), // ordering: read after the worker scope joined
-        gave_up: gave_up.load(Ordering::Relaxed),   // ordering: read after the worker scope joined
-        deadline_exceeded: deadline_exceeded.load(Ordering::Relaxed), // ordering: read after the worker scope joined
+        committed: sum(|t| t.committed),
+        restarts: sum(|t| t.restarts),
+        gave_up: sum(|t| t.gave_up),
+        deadline_exceeded: sum(|t| t.deadline_exceeded),
         stalled: 0,
-        steps,
+        steps: sum(|t| t.steps) as u64,
         metrics: scheduler.metrics().snapshot(),
         serializable: None,
         cycle: None,
@@ -579,11 +613,18 @@ pub fn run_concurrent(
         stats.serializable = Some(stats.cycle.is_none());
     }
     ConcurrentStats {
-        throughput: committed as f64 / elapsed.as_secs_f64().max(1e-9),
+        throughput: stats.committed as f64 / elapsed.as_secs_f64().max(1e-9),
         stats,
         elapsed,
-        // ordering: Relaxed — read after the worker scope joined; the join edge orders every counter write before it.
-        wal_lost: wal_lost.load(Ordering::Relaxed),
+        wal_lost: sum(|t| t.wal_lost),
+        journaled: sum(|t| t.journaled),
+        faults: FaultCounts {
+            crashed: sum(|t| t.faults.crashed),
+            stalled: sum(|t| t.faults.stalled),
+            delayed: sum(|t| t.faults.delayed),
+        },
+        wall_releases,
+        max_release_gap,
     }
 }
 
@@ -914,5 +955,370 @@ mod tests {
         assert_eq!(out.stats.committed, 50);
         assert_eq!(out.stats.serializable, None);
         assert!(sched.log().is_empty());
+    }
+
+    use hdd::{AccessSpec, HddConfig, HddScheduler, Hierarchy};
+    use txn_model::{SegmentId, Timestamp, TxnHandle, TxnProfile};
+
+    /// A scheduler whose `read` follows a script indexed by the call
+    /// number; writes and commits always succeed.
+    struct Scripted {
+        script: fn(usize) -> ReadOutcome,
+        reads: AtomicUsize,
+        log: txn_model::ScheduleLog,
+        metrics: txn_model::Metrics,
+        ids: AtomicU64,
+    }
+
+    impl Scripted {
+        fn new(script: fn(usize) -> ReadOutcome) -> Self {
+            Scripted {
+                script,
+                reads: AtomicUsize::new(0),
+                log: txn_model::ScheduleLog::new(),
+                metrics: txn_model::Metrics::default(),
+                ids: AtomicU64::new(1),
+            }
+        }
+    }
+
+    impl Scheduler for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+        fn begin(&self, profile: &txn_model::TxnProfile) -> TxnHandle {
+            TxnHandle {
+                // ordering: Relaxed — id ticket; uniqueness comes from fetch_add atomicity, nothing is published with it.
+                id: txn_model::TxnId(self.ids.fetch_add(1, Ordering::Relaxed)),
+                start_ts: Timestamp(0),
+                class: profile.class,
+            }
+        }
+        fn read(&self, _h: &TxnHandle, _g: GranuleId) -> ReadOutcome {
+            // ordering: Relaxed — script cursor; uniqueness comes from fetch_add atomicity, nothing is published with it.
+            (self.script)(self.reads.fetch_add(1, Ordering::Relaxed))
+        }
+        fn write(&self, _h: &TxnHandle, _g: GranuleId, _v: txn_model::Value) -> WriteOutcome {
+            WriteOutcome::Done
+        }
+        fn commit(&self, _h: &TxnHandle) -> CommitOutcome {
+            CommitOutcome::Committed(Timestamp(1))
+        }
+        fn abort(&self, _h: &TxnHandle) {}
+        fn log(&self) -> &txn_model::ScheduleLog {
+            &self.log
+        }
+        fn metrics(&self) -> &txn_model::Metrics {
+            &self.metrics
+        }
+    }
+
+    /// `n` read-only programs of one read each.
+    fn single_reads(n: usize) -> Vec<TxnProgram> {
+        (0..n)
+            .map(|_| {
+                TxnProgram::builder("one-read")
+                    .read(GranuleId::new(SegmentId(0), 0))
+                    .build(TxnProfile::read_only(vec![SegmentId(0)]))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_streaks_ending_in_abort_keep_their_wait() {
+        // Per program: Block ×3, then Abort, then the retry's value.
+        let sched = Scripted::new(|n| match n % 5 {
+            0..=2 => ReadOutcome::Block,
+            3 => ReadOutcome::Abort,
+            _ => ReadOutcome::Value(Arc::new(txn_model::Value::Int(0))),
+        });
+        let cfg = ConcurrentConfig {
+            workers: 1,
+            obs: true,
+            flight_sample: 1,
+            verify: false,
+            ..ConcurrentConfig::default()
+        };
+        let out = run_concurrent(&sched, single_reads(6), &cfg);
+        assert_eq!(out.stats.committed, 6);
+        assert_eq!(out.stats.restarts, 6);
+        let mobs = &sched.metrics().obs;
+        assert_eq!(
+            mobs.snapshot().block_wait.count,
+            6,
+            "one block-wait sample per streak, aborted streaks included"
+        );
+        let log = obs::assemble(&mobs.flight.drain());
+        let aborted: Vec<_> = log
+            .flights
+            .iter()
+            .filter(|f| f.terminal == Some(Terminal::Aborted))
+            .collect();
+        assert_eq!(aborted.len(), 6);
+        for f in aborted {
+            assert_eq!(f.waits.len(), 1, "aborted flight lost its Wait span");
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_under_a_fault_plan() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let sched = Scripted::new(|_| panic!("scripted scheduler bug"));
+            let cfg = ConcurrentConfig {
+                faults: Some(Arc::new(FaultPlan::clean(8))),
+                verify: false,
+                ..ConcurrentConfig::default()
+            };
+            let run =
+                std::panic::AssertUnwindSafe(|| run_concurrent(&sched, single_reads(8), &cfg));
+            tx.send(std::panic::catch_unwind(run).is_err()).ok();
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the run hung after its workers panicked");
+        assert!(panicked, "the worker panic must propagate to the caller");
+    }
+
+    /// Two-class chain: c0 writes s0; c1 writes s1 and reads s0.
+    fn chain_hdd(lease: Option<Duration>) -> HddScheduler {
+        let s = SegmentId;
+        let hierarchy = Hierarchy::build(
+            2,
+            &[
+                AccessSpec::new("c0", vec![s(0)], vec![]),
+                AccessSpec::new("c1", vec![s(1)], vec![s(0)]),
+            ],
+        )
+        .unwrap();
+        let store = Arc::new(mvstore::MvStore::new());
+        for k in 0..4 {
+            store.seed(GranuleId::new(s(0), k), txn_model::Value::Int(0));
+            store.seed(GranuleId::new(s(1), k), txn_model::Value::Int(0));
+        }
+        let config = HddConfig {
+            txn_lease: lease,
+            ..HddConfig::default()
+        };
+        HddScheduler::new(
+            Arc::new(hierarchy),
+            store,
+            Arc::new(txn_model::LogicalClock::new()),
+            config,
+        )
+    }
+
+    fn mixed_programs(n: usize) -> Vec<TxnProgram> {
+        use txn_model::{ClassId, Value};
+        (0..n)
+            .map(|i| {
+                let k = (i % 4) as u64;
+                if i % 2 == 0 {
+                    TxnProgram::builder("c0-bump")
+                        .read(GranuleId::new(SegmentId(0), k))
+                        .write_computed(GranuleId::new(SegmentId(0), k), move |ctx| {
+                            Value::Int(ctx.int(GranuleId::new(SegmentId(0), k)) + 1)
+                        })
+                        .build(TxnProfile::update(ClassId(0), vec![SegmentId(0)]))
+                } else {
+                    TxnProgram::builder("c1-mirror")
+                        .read(GranuleId::new(SegmentId(0), k))
+                        .write_computed(GranuleId::new(SegmentId(1), k), move |ctx| {
+                            Value::Int(ctx.int(GranuleId::new(SegmentId(0), k)))
+                        })
+                        .build(TxnProfile::update(
+                            ClassId(1),
+                            vec![SegmentId(0), SegmentId(1)],
+                        ))
+                }
+            })
+            .collect()
+    }
+
+    /// The fault-injection tests' settings: obs on (injected faults land
+    /// in the decision trace) and a 5 s deadline.
+    fn chaos_cfg(plan: FaultPlan) -> ConcurrentConfig {
+        ConcurrentConfig {
+            obs: true,
+            txn_deadline: Some(Duration::from_secs(5)),
+            faults: Some(Arc::new(plan)),
+            ..ConcurrentConfig::default()
+        }
+    }
+
+    #[test]
+    fn clean_plan_commits_everything() {
+        let sched = chain_hdd(Some(Duration::from_millis(20)));
+        let programs = mixed_programs(40);
+        let plan = FaultPlan::clean(programs.len());
+        let out = run_concurrent(&sched, programs, &chaos_cfg(plan));
+        assert_eq!(out.stats.committed, 40);
+        assert_eq!(
+            out.faults.crashed + out.faults.stalled + out.faults.delayed,
+            0
+        );
+        assert_eq!(out.stats.gave_up + out.stats.deadline_exceeded, 0);
+        let dg = DependencyGraph::from_log(sched.log());
+        assert_eq!(dg.find_cycle(), None);
+    }
+
+    #[test]
+    fn crash_faults_are_reaped_and_the_run_stays_serializable() {
+        let sched = chain_hdd(Some(Duration::from_millis(5)));
+        let programs = mixed_programs(30);
+        let mut plan = FaultPlan::clean(programs.len());
+        plan.faults[3] = FaultKind::Crash { after_ops: 1 };
+        plan.faults[11] = FaultKind::Crash { after_ops: 2 };
+        let out = run_concurrent(&sched, programs, &chaos_cfg(plan));
+        assert_eq!(out.faults.crashed, 2);
+        assert_eq!(out.stats.committed, 28);
+        let snap = sched.metrics().snapshot();
+        assert!(
+            snap.rej_watchdog_abort >= 2,
+            "the watchdog must reap both corpses: {snap:?}"
+        );
+        assert_eq!(
+            DependencyGraph::from_log(sched.log()).find_cycle(),
+            None,
+            "stitched log (crashes reaped as aborts) stays serializable"
+        );
+        assert!(
+            out.max_release_gap < Duration::from_secs(5),
+            "time wall resumed: gap {:?}",
+            out.max_release_gap
+        );
+        let kinds: Vec<&str> = sched
+            .metrics()
+            .obs
+            .trace
+            .drain()
+            .iter()
+            .map(|(_, e)| e.kind())
+            .collect();
+        assert!(kinds.contains(&"crash-point"));
+        assert!(kinds.contains(&"watchdog-abort"));
+    }
+
+    #[test]
+    fn crash_flights_close_as_abandoned_or_reaped_with_no_open_spans() {
+        let sched = chain_hdd(Some(Duration::from_millis(5)));
+        let programs = mixed_programs(24);
+        let mut plan = FaultPlan::clean(programs.len());
+        plan.faults[2] = FaultKind::Crash { after_ops: 1 };
+        plan.faults[9] = FaultKind::Crash { after_ops: 2 };
+        let cfg = ConcurrentConfig {
+            flight_sample: 1,
+            ..chaos_cfg(plan)
+        };
+        let out = run_concurrent(&sched, programs, &cfg);
+        assert_eq!(out.faults.crashed, 2);
+        let log = obs::assemble(&sched.metrics().obs.flight.drain());
+        assert_eq!(log.open, 0, "every admitted flight must close");
+        let crash_terminals = log
+            .flights
+            .iter()
+            .filter(|f| {
+                matches!(
+                    f.terminal,
+                    Some(Terminal::Abandoned) | Some(Terminal::Reaped)
+                )
+            })
+            .count();
+        assert!(
+            crash_terminals >= out.faults.crashed,
+            "each crash closes its flight as Abandoned (or Reaped by the \
+             watchdog): {crash_terminals} < {}",
+            out.faults.crashed
+        );
+        let committed_flights = log
+            .flights
+            .iter()
+            .filter(|f| f.terminal == Some(Terminal::Committed))
+            .count();
+        assert_eq!(committed_flights, out.stats.committed);
+    }
+
+    #[test]
+    fn wal_gate_journals_every_counted_commit() {
+        use chaos::{DiskFaultKind, DiskFaultPlan};
+        use txn_model::{decode_wal, GroupCommitConfig};
+
+        let dir = std::env::temp_dir().join(format!("chaos-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("chaos.wal");
+
+        // Fault: the disk tears batch 3 mid-write and the WAL crashes.
+        let fault = DiskFaultPlan::fixed(3, DiskFaultKind::TornWrite { keep_pct: 40 });
+        let wal = Arc::new(
+            GroupCommitWal::with_fault(
+                &path,
+                GroupCommitConfig {
+                    max_batch_frames: 4,
+                    ..GroupCommitConfig::default()
+                },
+                Some(Box::new(fault)),
+            )
+            .unwrap(),
+        );
+
+        let sched = chain_hdd(Some(Duration::from_millis(20)));
+        let programs = mixed_programs(40);
+        let plan = FaultPlan::clean(programs.len());
+        let cfg = ConcurrentConfig {
+            wal: Some(Arc::clone(&wal)),
+            ..chaos_cfg(plan)
+        };
+        let out = run_concurrent(&sched, programs, &cfg);
+
+        assert!(wal.crashed(), "the torn write must crash the WAL");
+        assert!(out.wal_lost > 0, "commits after the crash lose their ack");
+        assert_eq!(
+            out.stats.committed + out.wal_lost,
+            40,
+            "every program either counts as durable or as wal-lost: {out:?}"
+        );
+        assert_eq!(
+            out.journaled, out.stats.committed,
+            "all programs here are updates, so every counted commit journals: {out:?}"
+        );
+
+        // Every *counted* commit is on disk: the torn batch itself may
+        // carry acked frames from earlier batches only, so the decodable
+        // prefix holds every durable commit.
+        let bytes = std::fs::read(&path).unwrap();
+        let (events, wal_report) = decode_wal(&bytes).unwrap();
+        assert!(wal_report.torn(), "the tail tears at the victim batch");
+        let durable_commits = events
+            .iter()
+            .filter(|e| matches!(e, ScheduleEvent::Commit { .. }))
+            .count();
+        assert!(
+            durable_commits >= out.stats.committed,
+            "durable commits {durable_commits} < counted {}",
+            out.stats.committed
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stall_and_delay_faults_resolve_without_leaks() {
+        let sched = chain_hdd(Some(Duration::from_millis(10)));
+        let programs = mixed_programs(20);
+        let mut plan = FaultPlan::clean(programs.len());
+        // Stall well past the lease: the watchdog reaps mid-sleep and
+        // the worker retries as a fresh transaction.
+        plan.faults[2] = FaultKind::Stall {
+            after_ops: 1,
+            micros: 30_000,
+        };
+        plan.faults[7] = FaultKind::DelayCommit { micros: 500 };
+        let out = run_concurrent(&sched, programs, &chaos_cfg(plan));
+        assert_eq!(out.faults.stalled, 1);
+        assert_eq!(out.faults.delayed, 1);
+        assert_eq!(
+            out.stats.committed, 20,
+            "stalled program retries after the reap and still commits: {out:?}"
+        );
+        assert_eq!(DependencyGraph::from_log(sched.log()).find_cycle(), None);
     }
 }

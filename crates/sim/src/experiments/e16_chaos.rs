@@ -11,9 +11,9 @@
 //!   watchdog reaps them into real `Abort` events, so the full log —
 //!   faults included — passes the offline certifier's dependency-cycle
 //!   and partition-synchronization checks.
-//! * **The time wall resumes within a bounded interval.** The chaos
-//!   monitor samples `timewalls_released`; the longest release gap stays
-//!   bounded (lease + reap latency), never "forever".
+//! * **The time wall resumes within a bounded interval.** The driver's
+//!   maintenance ticker samples `timewalls_released`; the longest
+//!   release gap stays bounded (lease + reap latency), never "forever".
 //! * **Crashes never leak open flight spans.** The soak runs with the
 //!   flight recorder sampling every transaction; a crash fault closes
 //!   its span tree as `Abandoned` at the fault point and the watchdog's
@@ -28,10 +28,11 @@
 //!   the restored high-water mark keeps Protocol B's "timestamps only
 //!   grow" invariant across the crash.
 
+use crate::concurrent::{run_concurrent, ConcurrentConfig};
 use crate::factory::build_hdd_with_config;
 use crate::report::Table;
 use certify::certifier::certify_log;
-use chaos::{run_chaos, ChaosConfig, ChaosRunConfig, FaultPlan};
+use chaos::{ChaosConfig, FaultPlan};
 use hdd::protocol::HddConfig;
 use mvstore::MvStore;
 use rand::rngs::StdRng;
@@ -131,23 +132,23 @@ fn soak_one(seed: u64, n: usize, tally: &mut Tally) {
             delay_micros: 300,
         },
     );
-    let report = run_chaos(
-        sched.as_ref(),
-        batch,
-        &plan,
-        &ChaosRunConfig {
-            drain: 10 * LEASE,
-            flight_sample: 1,
-            ..ChaosRunConfig::default()
-        },
-    );
+    let cfg = ConcurrentConfig {
+        workers: 4,
+        verify: false,
+        obs: true,
+        txn_deadline: Some(Duration::from_secs(5)),
+        flight_sample: 1,
+        faults: Some(Arc::new(plan)),
+        ..ConcurrentConfig::default()
+    };
+    let out = run_concurrent(sched.as_ref(), batch, &cfg);
     tally.seeds += 1;
-    tally.committed += report.committed;
-    tally.crashed += report.crashed;
-    tally.stalled += report.stalled;
-    tally.delayed += report.delayed;
+    tally.committed += out.stats.committed;
+    tally.crashed += out.faults.crashed;
+    tally.stalled += out.faults.stalled;
+    tally.delayed += out.faults.delayed;
     tally.reaped += sched.metrics().snapshot().rej_watchdog_abort;
-    tally.max_gap = tally.max_gap.max(report.max_release_gap);
+    tally.max_gap = tally.max_gap.max(out.max_release_gap);
     if certify_log("hdd", sched.log(), Some(&hierarchy)).ok() {
         tally.certified += 1;
     }
@@ -179,8 +180,12 @@ fn soak_one(seed: u64, n: usize, tally: &mut Tally) {
     w.seed(store.as_ref());
     let (resumed, resume_report) = hdd::resume(Arc::clone(&hierarchy), store, &survivors, config);
     let phase2 = programs(&mut w, &mut rng, n / 2);
-    let plan2 = FaultPlan::clean(phase2.len());
-    run_chaos(&resumed, phase2, &plan2, &ChaosRunConfig::default());
+    let clean = ConcurrentConfig {
+        flight_sample: 0,
+        faults: Some(Arc::new(FaultPlan::clean(phase2.len()))),
+        ..cfg
+    };
+    run_concurrent(&resumed, phase2, &clean);
 
     let stitched = resumed.log().events();
     let stamps = end_point_timestamps(&stitched);

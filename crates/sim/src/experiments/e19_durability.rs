@@ -29,7 +29,7 @@ use crate::experiments::e02_inventory::batch;
 use crate::factory::{build_hdd_on, build_scheduler, SchedulerKind};
 use crate::report::{f2, Table};
 use certify::certifier::certify_log;
-use chaos::{run_chaos, ChaosConfig, ChaosRunConfig, DiskFaultKind, DiskFaultPlan, FaultPlan};
+use chaos::{ChaosConfig, DiskFaultKind, DiskFaultPlan, FaultPlan};
 use hdd::protocol::HddConfig;
 use mvstore::{FileBackend, FileBackendConfig, MvStore, StorageBackend, VersionRecord};
 use rand::rngs::StdRng;
@@ -356,20 +356,23 @@ fn soak_one(seed: u64, n: usize, tally: &mut SoakTally) {
             delay_micros: 300,
         },
     );
-    let report = run_chaos(
+    let report = run_concurrent(
         sched.as_ref(),
         phase1,
-        &plan,
-        &ChaosRunConfig {
-            drain: 10 * LEASE,
+        &ConcurrentConfig {
+            workers: 4,
+            verify: false,
+            obs: true,
+            txn_deadline: Some(Duration::from_secs(5)),
             wal: Some(Arc::clone(&wal)),
-            ..ChaosRunConfig::default()
+            faults: Some(Arc::new(plan)),
+            ..ConcurrentConfig::default()
         },
     );
     tally.seeds += 1;
-    tally.committed += report.committed;
+    tally.committed += report.stats.committed;
     tally.wal_lost += report.wal_lost;
-    tally.worker_crashes += report.crashed;
+    tally.worker_crashes += report.faults.crashed;
     tally.reaped += sched.metrics().snapshot().rej_watchdog_abort;
     if wal.crashed() {
         tally.disk_crashes += 1;
@@ -408,8 +411,15 @@ fn soak_one(seed: u64, n: usize, tally: &mut SoakTally) {
 
     // Phase 2 on the survivor, clean.
     let phase2: Vec<_> = (0..n / 2).map(|_| w.generate(&mut rng)).collect();
-    let plan2 = FaultPlan::clean(phase2.len());
-    run_chaos(&resumed, phase2, &plan2, &ChaosRunConfig::default());
+    let clean = ConcurrentConfig {
+        workers: 4,
+        verify: false,
+        obs: true,
+        txn_deadline: Some(Duration::from_secs(5)),
+        faults: Some(Arc::new(FaultPlan::clean(phase2.len()))),
+        ..ConcurrentConfig::default()
+    };
+    run_concurrent(&resumed, phase2, &clean);
     tally.reaped += resumed.metrics().snapshot().rej_watchdog_abort;
 
     let stitched = resumed.log().events();

@@ -107,6 +107,21 @@ for key in quality_milli optimal advised_labels drift_score_milli suggestions; d
   fi
 done
 
+echo "== hdd-top smoke (release) =="
+# Both hdd-top driver paths, plain and --chaos (the driver's fault hook
+# under a transaction lease), must drive one wave and print a snapshot
+# JSON object with "commits" > 0.
+for flags in "" "--chaos"; do
+  # shellcheck disable=SC2086 # empty flags must expand to no argument
+  top_json="$(cargo run --release -q -p sim --bin hdd-top -- --once $flags 2>/dev/null)"
+  commits="$(grep -o '^{"workload": "[a-z]*", "commits": [0-9]*' <<< "$top_json" | grep -o '[0-9]*$' || true)"
+  if [ -z "$commits" ] || [ "$commits" -le 0 ]; then
+    echo "hdd-top --once $flags printed no JSON object with commits > 0"
+    exit 1
+  fi
+  echo "hdd-top --once $flags: $commits commits"
+done
+
 echo "== hddbench smoke (release) =="
 # The benchmark package implements Scheduler and StorageBackend itself
 # (tracing decorators) and builds against the engine crates by path, so

@@ -3,7 +3,7 @@
 //! atomicity and state equivalence independently of the recovery code.
 
 use certify::certifier::certify_log;
-use chaos::{run_chaos, ChaosRunConfig, FaultKind, FaultPlan};
+use chaos::{FaultKind, FaultPlan};
 use hdd::protocol::HddConfig;
 use mvstore::{recover, MvStore};
 use rand::rngs::StdRng;
@@ -120,9 +120,17 @@ fn concurrent_crash_recover_resume_certifies() {
     let mut plan = FaultPlan::clean(programs.len());
     plan.faults[5] = FaultKind::Crash { after_ops: 1 };
     plan.faults[20] = FaultKind::Crash { after_ops: 2 };
-    let report = run_chaos(sched.as_ref(), programs, &plan, &ChaosRunConfig::default());
-    assert_eq!(report.crashed, 2);
-    assert_eq!(report.committed, 58);
+    let cfg = ConcurrentConfig {
+        workers: 4,
+        verify: false,
+        obs: true,
+        txn_deadline: Some(Duration::from_secs(5)),
+        faults: Some(Arc::new(plan)),
+        ..ConcurrentConfig::default()
+    };
+    let report = run_concurrent(sched.as_ref(), programs, &cfg);
+    assert_eq!(report.faults.crashed, 2);
+    assert_eq!(report.stats.committed, 58);
 
     // "Kill the process": the schedule log is the WAL image, and the
     // crash tore its tail mid-frame.
