@@ -57,9 +57,9 @@ impl<'a> ActivityFuncs<'a> {
             .fold(m, |cur, &c| self.registry.i_old(ClassId(c), cur))
     }
 
-    /// [`a_fn`](Self::a_fn) plus the total activity-registry intervals
-    /// examined across every `I_old` hop — the per-evaluation scan
-    /// length recorded into the obs registry-scan histogram.
+    /// [`a_fn`](Self::a_fn) plus the total activity-registry probes and
+    /// intervals examined across every `I_old` hop — the per-evaluation
+    /// scan length recorded into the obs registry-scan histogram.
     pub fn a_fn_counted(&self, i: ClassId, j: ClassId, m: Timestamp) -> (Timestamp, u64) {
         let hops = self
             .hierarchy
@@ -87,8 +87,8 @@ impl<'a> ActivityFuncs<'a> {
             .fold(m, |cur, &cl| self.registry.i_old(ClassId(cl), cur))
     }
 
-    /// [`a_fn_from_below`](Self::a_fn_from_below) plus the intervals
-    /// examined (see [`a_fn_counted`](Self::a_fn_counted)).
+    /// [`a_fn_from_below`](Self::a_fn_from_below) plus the probes and
+    /// intervals examined (see [`a_fn_counted`](Self::a_fn_counted)).
     pub fn a_fn_from_below_counted(
         &self,
         c: ClassId,

@@ -27,12 +27,16 @@
 //!
 //! Queries exploit a lazily-advanced **settled cursor**: the longest
 //! prefix of (start-sorted) intervals in which every transaction has
-//! ended, together with the maximum end time inside that prefix. For a
-//! query at `m` at or above that maximum, no settled interval can still
-//! be active at `m` (its end is ≤ the maximum ≤ `m`), so the scan starts
-//! at the cursor and touches only the *active window* — O(active), not
-//! O(total history). The instrumented scan counter keeps this claim
-//! testable.
+//! ended. Each settled interval stores the maximum end time of the
+//! prefix up to and including itself, a non-decreasing sequence. For a
+//! query at `m` at or above the whole prefix's maximum, no settled
+//! interval can still be active at `m`, so the scan starts at the
+//! cursor. Below it, the query binary-searches the prefix maxima for the
+//! first interval whose end exceeds `m`: every earlier interval ended at
+//! or before `m`, and that one is the oldest candidate. Either way a
+//! query costs O(log n + active window), not O(total history). The
+//! instrumented scan counter counts the binary-search probes as well as
+//! the intervals examined, which keeps this claim testable.
 //!
 //! History is pruned by garbage collection: an interval that ended before
 //! the GC watermark can never again satisfy `end > m` for future queries.
@@ -61,6 +65,20 @@ struct Interval {
     /// True when ended by commit (aborts contribute no commit time to
     /// `C_late` but bound activity exactly like commits).
     committed: bool,
+    /// Maximum end time of `entries[..=i]`; written when the settled
+    /// cursor passes this entry and meaningful only below it.
+    max_end: Timestamp,
+}
+
+impl Interval {
+    fn new(start: Timestamp, end: Option<Timestamp>, committed: bool) -> Self {
+        Interval {
+            start,
+            end,
+            committed,
+            max_end: Timestamp::ZERO,
+        }
+    }
 }
 
 /// Activity history of a single transaction class.
@@ -70,12 +88,11 @@ pub struct ClassActivity {
     entries: Vec<Interval>,
     /// Length of the longest all-ended prefix of `entries`.
     settled: usize,
-    /// Maximum end time within the settled prefix (`ZERO` when empty).
-    settled_max_end: Timestamp,
     /// Number of entries still running (`end == None`).
     running: usize,
-    /// Intervals examined by `i_old`/`c_late` since construction
-    /// (instrumentation; `Cell` is fine — the struct lives in a mutex).
+    /// Binary-search probes plus intervals examined by `i_old`/`c_late`
+    /// since construction (instrumentation; `Cell` is fine — the struct
+    /// lives in a mutex).
     scans: Cell<u64>,
 }
 
@@ -84,38 +101,50 @@ impl ClassActivity {
         self.entries.binary_search_by_key(&start, |e| e.start)
     }
 
-    /// Advance the settled cursor over every ended entry it now covers.
+    /// Maximum end time within the settled prefix (`ZERO` when empty).
+    fn settled_max_end(&self) -> Timestamp {
+        self.settled
+            .checked_sub(1)
+            .map_or(Timestamp::ZERO, |i| self.entries[i].max_end)
+    }
+
+    /// Advance the settled cursor over every ended entry it now covers,
+    /// recording each passed entry's prefix maximum end.
     fn advance_settled(&mut self) {
-        while let Some(e) = self.entries.get(self.settled) {
-            match e.end {
-                Some(end) => {
-                    if end > self.settled_max_end {
-                        self.settled_max_end = end;
-                    }
-                    self.settled += 1;
-                }
-                None => break,
-            }
+        let mut max_end = self.settled_max_end();
+        while let Some(e) = self.entries.get_mut(self.settled) {
+            let Some(end) = e.end else { break };
+            max_end = max_end.max(end);
+            e.max_end = max_end;
+            self.settled += 1;
         }
     }
 
-    /// Recompute all cursors from scratch (cold paths: prune/absorb).
+    /// Recompute all cursors and prefix maxima from scratch (cold paths:
+    /// prune/absorb).
     fn rebuild_cursors(&mut self) {
         self.settled = 0;
-        self.settled_max_end = Timestamp::ZERO;
         self.running = self.entries.iter().filter(|e| e.end.is_none()).count();
         self.advance_settled();
     }
 
-    /// First entry index a query at `m` must examine: entries below the
-    /// settled cursor have all ended at or before `settled_max_end`, so
-    /// for `m ≥ settled_max_end` none can satisfy `end > m`.
-    fn scan_start(&self, m: Timestamp) -> usize {
-        if m >= self.settled_max_end {
-            self.settled
-        } else {
-            0
+    /// First entry index a query at `m` must examine, plus the
+    /// binary-search probes spent finding it. Entries below the settled
+    /// cursor have all ended at or before its maximum end, so at or above
+    /// that maximum none can satisfy `end > m`. Below it, the prefix
+    /// maxima are sorted: the first entry whose prefix maximum exceeds
+    /// `m` is the first whose own end does, and no earlier entry can be
+    /// active at `m`.
+    fn scan_start(&self, m: Timestamp) -> (usize, u64) {
+        if m >= self.settled_max_end() {
+            return (self.settled, 0);
         }
+        let mut probes = 0u64;
+        let i = self.entries[..self.settled].partition_point(|e| {
+            probes += 1;
+            e.max_end <= m
+        });
+        (i, probes)
     }
 
     /// Record a transaction beginning at `start`.
@@ -123,25 +152,14 @@ impl ClassActivity {
         self.running += 1;
         // Monotonic-clock fast path: strictly newer than everything seen.
         if self.entries.last().is_none_or(|l| start > l.start) {
-            self.entries.push(Interval {
-                start,
-                end: None,
-                committed: false,
-            });
+            self.entries.push(Interval::new(start, None, false));
             return;
         }
         // Out-of-order insert (absorbed histories, tests).
         match self.position(start) {
             Ok(_) => panic!("duplicate initiation timestamp {start}"),
             Err(i) => {
-                self.entries.insert(
-                    i,
-                    Interval {
-                        start,
-                        end: None,
-                        committed: false,
-                    },
-                );
+                self.entries.insert(i, Interval::new(start, None, false));
                 if i < self.settled {
                     // A running entry appeared inside the settled prefix.
                     self.rebuild_cursors();
@@ -172,12 +190,13 @@ impl ClassActivity {
         self.i_old_counted(m).0
     }
 
-    /// [`i_old`](Self::i_old) plus the number of intervals the
-    /// evaluation examined — the per-call scan length behind the
-    /// O(active) claim, fed to the obs registry-scan histogram.
+    /// [`i_old`](Self::i_old) plus the number of binary-search probes
+    /// and intervals the evaluation examined — the per-call scan length
+    /// behind the O(log n + active) claim, fed to the obs registry-scan
+    /// histogram.
     pub fn i_old_counted(&self, m: Timestamp) -> (Timestamp, u64) {
-        let mut scanned = 0u64;
-        for e in &self.entries[self.scan_start(m)..] {
+        let (from, mut scanned) = self.scan_start(m);
+        for e in &self.entries[from..] {
             scanned += 1;
             if e.start >= m {
                 break; // sorted: no further entry can have start < m
@@ -204,8 +223,8 @@ impl ClassActivity {
     /// the point where the (version-less) aborted transaction is gone.
     pub fn c_late(&self, m: Timestamp) -> CLate {
         let mut max_end = m;
-        let mut scanned = 0u64;
-        for e in &self.entries[self.scan_start(m)..] {
+        let (from, mut scanned) = self.scan_start(m);
+        for e in &self.entries[from..] {
             scanned += 1;
             if e.start > m {
                 break;
@@ -265,7 +284,8 @@ impl ClassActivity {
         self.running > 0
     }
 
-    /// Intervals examined by `i_old`/`c_late` since construction.
+    /// Probes plus intervals examined by `i_old`/`c_late` since
+    /// construction.
     pub fn scan_count(&self) -> u64 {
         self.scans.get()
     }
@@ -295,14 +315,7 @@ impl ClassActivity {
         for &(start, end, committed) in intervals {
             match self.position(start) {
                 Ok(_) => {} // already present (idempotent hand-off)
-                Err(i) => self.entries.insert(
-                    i,
-                    Interval {
-                        start,
-                        end,
-                        committed,
-                    },
-                ),
+                Err(i) => self.entries.insert(i, Interval::new(start, end, committed)),
             }
         }
         self.rebuild_cursors();
@@ -417,7 +430,7 @@ impl ActivityRegistry {
         self.classes[class.index()].lock().i_old(m)
     }
 
-    /// `I_old` of `class` at `m`, plus the intervals examined.
+    /// `I_old` of `class` at `m`, plus the probes and intervals examined.
     pub fn i_old_counted(&self, class: ClassId, m: Timestamp) -> (Timestamp, u64) {
         self.classes[class.index()].lock().i_old_counted(m)
     }
@@ -448,8 +461,9 @@ impl ActivityRegistry {
         self.classes.iter().map(|c| c.lock().len()).sum()
     }
 
-    /// Total intervals examined by `i_old`/`c_late` across all classes
-    /// since construction (instrumentation for the O(active) claim).
+    /// Total probes plus intervals examined by `i_old`/`c_late` across
+    /// all classes since construction (instrumentation for the
+    /// O(log n + active) claim).
     pub fn scan_count(&self) -> u64 {
         self.classes.iter().map(|c| c.lock().scan_count()).sum()
     }
@@ -502,6 +516,7 @@ impl ActivityRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn class_stats_track_running_and_settled_lag() {
@@ -715,6 +730,157 @@ mod tests {
             "i_old must not rescan the ended prefix (scan cost {small} vs {large})"
         );
         assert!(small <= 4, "scan bounded by the active window, got {small}");
+    }
+
+    /// The below-cursor twin of the test above. A long transaction at
+    /// the end of the settled prefix lifts `settled_max_end` above the
+    /// whole history, so every query inside that history lands below the
+    /// cursor. Each must binary-search the prefix maxima: at most
+    /// ⌈log₂ n⌉ + active + 2 probes and examined intervals.
+    #[test]
+    fn below_cursor_scan_cost_is_logarithmic() {
+        const ACTIVE: u64 = 3;
+        let worst = |total: u64| -> u64 {
+            let mut a = ClassActivity::default();
+            // `total` non-overlapping intervals (3i+1, 3i+3)...
+            for i in 0..total {
+                let s = ts(3 * i + 1);
+                a.begin(s);
+                a.end(s, ts(3 * i + 3), true);
+            }
+            // ...one long one that ends far above all of them...
+            let long = ts(3 * total + 1);
+            a.begin(long);
+            a.end(long, ts(10 * total), true);
+            // ...and a small live window.
+            for k in 0..ACTIVE {
+                a.begin(ts(10 * total + 1 + k));
+            }
+            let n = total + 1;
+            let bound = u64::from(u64::BITS - (n - 1).leading_zeros()) + ACTIVE + 2;
+            let mut worst = 0;
+            for i in (0..total).step_by((total / 50).max(1) as usize) {
+                for m in [3 * i + 2, 3 * i + 3] {
+                    let before = a.scan_count();
+                    let want = if m % 3 == 2 { ts(3 * i + 1) } else { ts(m) };
+                    assert_eq!(a.i_old(ts(m)), want, "I_old({m})");
+                    let i_old_cost = a.scan_count() - before;
+                    let want = if m % 3 == 2 { ts(3 * i + 3) } else { ts(m) };
+                    assert_eq!(a.c_late(ts(m)), CLate::Time(want), "C_late({m})");
+                    let c_late_cost = a.scan_count() - before - i_old_cost;
+                    for cost in [i_old_cost, c_late_cost] {
+                        assert!(cost <= bound, "n={n} m={m}: cost {cost} > bound {bound}");
+                        worst = worst.max(cost);
+                    }
+                }
+            }
+            worst
+        };
+        let small = worst(100);
+        let large = worst(10_000);
+        assert!(
+            large <= small + 7,
+            "100× the history may add only log₂(100) probes ({small} vs {large})"
+        );
+    }
+
+    /// Brute-force `I_old`/`C_late` straight from the definitions over
+    /// a `start → end` map of every retained interval.
+    fn reference(model: &BTreeMap<u64, Option<u64>>, m: u64) -> (Timestamp, CLate) {
+        let active = |&(&s, e): &(&u64, &Option<u64>)| s < m && e.is_none_or(|e| e > m);
+        let i_old = model.iter().find(active).map_or(m, |(&s, _)| s);
+        let c_late = if model.range(..=m).any(|(_, e)| e.is_none()) {
+            CLate::NotComputable
+        } else {
+            let latest = model.iter().filter(active).filter_map(|(_, e)| *e).max();
+            CLate::Time(ts(latest.unwrap_or(m).max(m)))
+        };
+        (ts(i_old), c_late)
+    }
+
+    /// Seeded randomized equivalence: after random begin / commit /
+    /// abort / absorb / mirror_end / prune sequences, `I_old(m)` and
+    /// `C_late(m)` agree with the brute-force reference for every
+    /// `m ≤ now` — both above the settled cursor and below it, where the
+    /// prefix-maximum binary search answers.
+    #[test]
+    fn bounds_match_brute_force_reference() {
+        use rand::prelude::*;
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(0xAC71_0000 + seed);
+            let r = ActivityRegistry::new(1);
+            let c = ClassId(0);
+            let mut model: BTreeMap<u64, Option<u64>> = BTreeMap::new();
+            // Skipped clock ticks, later inserted out of order.
+            let mut holes: Vec<u64> = Vec::new();
+            for now in 1..=150u64 {
+                let running: Vec<u64> = model
+                    .iter()
+                    .filter(|(_, e)| e.is_none())
+                    .map(|(&s, _)| s)
+                    .collect();
+                let hole =
+                    (!holes.is_empty()).then(|| holes.swap_remove(rng.gen_range(0..holes.len())));
+                match (rng.gen_range(0..12u32), hole) {
+                    (0..=3, h) => {
+                        holes.extend(h);
+                        r.begin(c, ts(now));
+                        model.insert(now, None);
+                    }
+                    (4..=6, h) if !running.is_empty() => {
+                        holes.extend(h);
+                        let s = running[rng.gen_range(0..running.len())];
+                        match rng.gen_range(0..3u32) {
+                            0 => r.commit(c, ts(s), ts(now)),
+                            1 => r.abort(c, ts(s), ts(now)),
+                            _ => r.mirror_end(c, ts(s), ts(now), true),
+                        }
+                        model.insert(s, Some(now));
+                    }
+                    (7, Some(h)) => {
+                        let end = rng.gen_bool(0.7).then(|| rng.gen_range(h + 1..=now));
+                        r.absorb_class(c, &[(ts(h), end.map(ts), rng.gen_bool(0.5))]);
+                        model.insert(h, end);
+                    }
+                    (8, Some(h)) => {
+                        let end = rng.gen_range(h + 1..=now);
+                        r.mirror_end(c, ts(h), ts(end), rng.gen_bool(0.5));
+                        model.insert(h, Some(end));
+                    }
+                    (9, h) => {
+                        holes.extend(h);
+                        // An already-ended interval: mirror_end ignores it.
+                        if let Some((&s, _)) = model.iter().find(|(_, e)| e.is_some()) {
+                            r.mirror_end(c, ts(s), ts(now), false);
+                        }
+                    }
+                    (10, h) => {
+                        holes.extend(h);
+                        let wm = rng.gen_range(0..=now);
+                        let before = model.len();
+                        model.retain(|_, e| e.is_none_or(|e| e >= wm));
+                        assert_eq!(r.prune_ended_before(ts(wm)), before - model.len());
+                    }
+                    (_, h) => {
+                        holes.extend(h);
+                        holes.push(now);
+                    }
+                }
+                for m in 0..=now {
+                    let (i_old, c_late) = reference(&model, m);
+                    assert_eq!(
+                        r.i_old(c, ts(m)),
+                        i_old,
+                        "seed {seed} now {now}: I_old({m})"
+                    );
+                    assert_eq!(
+                        r.c_late(c, ts(m)),
+                        c_late,
+                        "seed {seed} now {now}: C_late({m})"
+                    );
+                }
+            }
+        }
     }
 
     /// Same independence claim via the registry + prune path.

@@ -10,9 +10,11 @@
 //! [`Histogram`] records via relaxed atomics (one `fetch_add` on the
 //! bucket plus the summary cells), so concurrent recorders never take a
 //! lock; [`HistogramSnapshot`] is the plain-integer copy used for
-//! merging, quantiles and export.
+//! merging, quantiles and export. The bucket table is allocated on the
+//! first `record`, so the many histograms a disabled `Obs` carries cost
+//! a few words each; an untouched histogram snapshots as empty.
 
-use mc::sync::{AtomicU64, Ordering};
+use mc::sync::{AtomicU64, OnceLock, Ordering};
 
 /// Sub-bucket bits per octave.
 const SUB_BITS: u32 = 4;
@@ -59,7 +61,8 @@ pub fn bucket_high(i: usize) -> u64 {
 /// see module docs for the error bound).
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: Vec<AtomicU64>,
+    /// [`N_BUCKETS`] counters, allocated by the first `record`.
+    buckets: OnceLock<Box<[AtomicU64]>>,
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -69,7 +72,7 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            buckets: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            buckets: OnceLock::new(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -93,10 +96,14 @@ impl Histogram {
     /// extrema stay exact.
     #[inline]
     pub fn record(&self, v: u64) {
+        let buckets = self
+            .buckets
+            .get_or_init(|| (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect());
         // ordering: Relaxed — independent statistical cells; each RMW is
         // atomic on its own, and readers (snapshot) tolerate skew between
-        // cells by contract. No other memory is published here.
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        // cells by contract. No other memory is published here (the
+        // bucket table itself is published by the `OnceLock`).
+        buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed); // ordering: independent stat cell, see fn-top note
         self.sum.fetch_add(v, Ordering::Relaxed); // ordering: independent stat cell, see fn-top note
         self.min.fetch_min(v, Ordering::Relaxed); // ordering: independent stat cell, see fn-top note
@@ -113,13 +120,12 @@ impl Histogram {
     /// concurrent with recording may miss in-flight values but never
     /// reports a bucket total above what was recorded).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        // ordering: Relaxed — per-cell copies; the snapshot contract
-        // (module docs) already allows missing in-flight values.
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let buckets: Vec<u64> = match self.buckets.get() {
+            // ordering: Relaxed — per-cell copies; the snapshot contract
+            // (module docs) already allows missing in-flight values.
+            Some(cells) => cells.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            None => vec![0; N_BUCKETS],
+        };
         HistogramSnapshot {
             // ordering: Relaxed — same per-cell snapshot contract as the
             // bucket copies above.
@@ -131,11 +137,14 @@ impl Histogram {
         }
     }
 
-    /// Reset every cell to empty.
+    /// Reset every cell to empty (a no-op before the first `record`).
     pub fn reset(&self) {
+        let Some(cells) = self.buckets.get() else {
+            return;
+        };
         // ordering: Relaxed — reset between phases; racing records land on
         // either side of it, both acceptable for statistics.
-        for b in &self.buckets {
+        for b in cells {
             b.store(0, Ordering::Relaxed); // ordering: phase reset, see fn-top note
         }
         self.count.store(0, Ordering::Relaxed); // ordering: phase reset, see fn-top note
@@ -400,6 +409,42 @@ mod tests {
         let json = s.to_json();
         assert!(json.contains("\"count\": 0"));
         assert!(json.contains("\"buckets\": []"));
+    }
+
+    #[test]
+    fn untouched_histogram_matches_a_recorded_then_reset_one() {
+        let untouched = Histogram::new();
+        let reset = Histogram::new();
+        for v in [3u64, 40, 5_000, u64::MAX] {
+            reset.record(v);
+        }
+        reset.reset();
+        let (u, r) = (untouched.snapshot(), reset.snapshot());
+        assert_eq!(u, r, "snapshot");
+        assert_eq!(u, HistogramSnapshot::default());
+        assert_eq!(untouched.count(), reset.count());
+        let other = Histogram::new();
+        other.record(77);
+        let other = other.snapshot();
+        let (mut um, mut rm) = (u.clone(), r.clone());
+        um.merge(&other);
+        rm.merge(&other);
+        assert_eq!(um, rm, "merge into");
+        let (mut om_u, mut om_r) = (other.clone(), other.clone());
+        om_u.merge(&u);
+        om_r.merge(&r);
+        assert_eq!(om_u, om_r, "merge from");
+        assert_eq!(om_u, other);
+        assert_eq!(u.delta(&other), r.delta(&other), "delta against");
+        assert_eq!(other.delta(&u), other.delta(&r), "delta from");
+        assert_eq!(u.delta(&r), r.delta(&u));
+        untouched.reset();
+        reset.reset();
+        assert_eq!(untouched.snapshot(), reset.snapshot(), "reset");
+        // Both record identically afterwards.
+        untouched.record(9);
+        reset.record(9);
+        assert_eq!(untouched.snapshot(), reset.snapshot(), "record after reset");
     }
 
     #[test]

@@ -73,9 +73,9 @@ pub struct Obs {
     pub block_wait: LatencyRecorder,
     /// Actual driver backoff sleep lengths in nanoseconds.
     pub backoff_sleep: LatencyRecorder,
-    /// Activity-registry intervals examined per Protocol A bound
-    /// evaluation (a length, not a latency; the O(active) claim, as a
-    /// distribution).
+    /// Activity-registry binary-search probes plus intervals examined
+    /// per Protocol A bound evaluation (a length, not a latency; the
+    /// O(log n + active) claim, as a distribution).
     pub registry_scan: LatencyRecorder,
     /// Structured protocol decision events.
     pub trace: TraceRing,

@@ -202,15 +202,42 @@ pub fn decision_table(points: &[ObsPoint]) -> Table {
     t
 }
 
+/// Ceiling on every hdd leg's Protocol A registry-scan p99 (probes plus
+/// intervals examined per `I_old` evaluation). Bound evaluations
+/// binary-search the settled history, so the scan is O(log n + active)
+/// and stays far below this; a rescan of class history reaches
+/// thousands.
+pub const SCAN_P99_CEILING: u64 = 64;
+
+/// The O(log n + active) gate: `Err` names the first hdd leg whose
+/// registry-scan p99 exceeds [`SCAN_P99_CEILING`].
+pub fn scan_gate(points: &[ObsPoint]) -> Result<(), String> {
+    let p99 = |p: &ObsPoint| p.obs.registry_scan.p99();
+    match points
+        .iter()
+        .find(|p| p.scheduler == "hdd" && p99(p) > SCAN_P99_CEILING)
+    {
+        None => Ok(()),
+        Some(p) => Err(format!(
+            "hdd registry_scan p99 {} at {} workers exceeds {SCAN_P99_CEILING}",
+            p99(p),
+            p.workers
+        )),
+    }
+}
+
 /// Run E14 and return the decision table (the latency table is printed
 /// to stdout alongside). Full runs write the JSON artifact to
-/// `json_path`; quick (smoke) runs leave the canonical artifact alone.
+/// `json_path`; quick (smoke) runs leave the canonical artifact alone
+/// and panic when [`scan_gate`] fails.
 pub fn run_with_path(quick: bool, json_path: &str) -> Table {
     let points = sweep(quick);
-    if !quick {
-        if let Err(e) = std::fs::write(json_path, to_json(&points)) {
-            eprintln!("warning: could not write {json_path}: {e}");
+    if quick {
+        if let Err(e) = scan_gate(&points) {
+            panic!("E14 smoke: {e}");
         }
+    } else if let Err(e) = std::fs::write(json_path, to_json(&points)) {
+        eprintln!("warning: could not write {json_path}: {e}");
     }
     println!("{}", latency_table(&points));
     decision_table(&points)
@@ -255,6 +282,7 @@ mod tests {
             .iter()
             .filter(|p| p.scheduler != "hdd")
             .all(|p| p.obs.registry_scan.count == 0));
+        scan_gate(&points).unwrap();
         let json = to_json(&points);
         assert!(json.contains("\"experiment\": \"obs_profile\""));
         assert!(json.contains("\"commit_latency_ns\""));

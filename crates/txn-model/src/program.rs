@@ -9,6 +9,7 @@
 use crate::ids::GranuleId;
 use crate::scheduler::TxnProfile;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -117,14 +118,15 @@ pub struct TxnProgram {
     pub profile: TxnProfile,
     /// Steps in program order.
     pub steps: Vec<Step>,
-    /// Human-readable label ("type2-inventory-post", ...).
-    pub label: String,
+    /// Human-readable label ("type2-inventory-post", ...); static
+    /// labels are borrowed, so generating a program allocates none.
+    pub label: Cow<'static, str>,
 }
 
 impl TxnProgram {
     /// Build a program, deriving the profile's segment sets from the steps
     /// (declared sets are the union of the steps' segments).
-    pub fn new(label: impl Into<String>, profile: TxnProfile, steps: Vec<Step>) -> Self {
+    pub fn new(label: impl Into<Cow<'static, str>>, profile: TxnProfile, steps: Vec<Step>) -> Self {
         TxnProgram {
             profile,
             steps,
@@ -133,7 +135,7 @@ impl TxnProgram {
     }
 
     /// Convenience builder.
-    pub fn builder(label: impl Into<String>) -> TxnProgramBuilder {
+    pub fn builder(label: impl Into<Cow<'static, str>>) -> TxnProgramBuilder {
         TxnProgramBuilder {
             label: label.into(),
             steps: Vec::new(),
@@ -155,7 +157,7 @@ impl TxnProgram {
 /// `build` time since class assignment depends on the hierarchy.
 #[derive(Debug)]
 pub struct TxnProgramBuilder {
-    label: String,
+    label: Cow<'static, str>,
     steps: Vec<Step>,
 }
 
@@ -184,8 +186,10 @@ impl TxnProgramBuilder {
         self
     }
 
-    /// Attach the profile and finish.
-    pub fn build(self, profile: TxnProfile) -> TxnProgram {
+    /// Attach the profile and finish, trimming the step list's spare
+    /// capacity (workloads keep hundreds of thousands of programs).
+    pub fn build(mut self, profile: TxnProfile) -> TxnProgram {
+        self.steps.shrink_to_fit();
         TxnProgram::new(self.label, profile, self.steps)
     }
 }

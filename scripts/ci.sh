@@ -41,6 +41,8 @@ echo "== hot-path smoke (release, quick) =="
 cargo run --release -q -p sim --bin experiments -- hotpath quick
 
 echo "== obs profile smoke (release, quick) =="
+# Quick E14: fails if any hdd leg's Protocol A registry-scan p99
+# (binary-search probes plus intervals examined) exceeds 64.
 cargo run --release -q -p sim --bin experiments -- e14 quick
 
 echo "== export smoke (release) =="
